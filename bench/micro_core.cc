@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "exp/traffic_experiment.h"
 #include "flowsim/flow_sim_engine.h"
 #include "flowsim/virtual_fabric.h"
 #include "net/drop_tail_queue.h"
@@ -471,41 +470,6 @@ void BM_KShortestPaths(benchmark::State& state) {
   state.SetItemsProcessed(pairs);  // pairs/sec
 }
 BENCHMARK(BM_KShortestPaths)->Arg(4)->Arg(16);
-
-// The sharded parallel engine end to end: one permutation rate-mode
-// experiment (4-leaf/16-host fabric, 3 ms simulated) per iteration at
-// --shards = 1 / 2 / 4.  Items = simulator events, so items_per_second is
-// whole-engine event throughput including setup, barriers and the rank
-// merge.  On a single-core host the sharded legs are expected to be slower
-// than Arg(1) — windowed execution and worker handoffs buy nothing without
-// parallel hardware; the recorded numbers document that cost honestly.
-// Measured as whole-process cpu time + wall throughput: the default
-// main-thread-only cpu clock would miss the worker threads entirely and
-// make the sharded legs look several times faster than serial.
-void BM_ShardedFabric(benchmark::State& state) {
-  exp::TrafficOptions options;
-  options.topology.hosts_per_leaf = 4;
-  options.topology.num_leaves = 4;
-  options.topology.num_spines = 2;
-  options.pattern = exp::TrafficPattern::kPermutation;
-  options.warmup = sim::millis(1);
-  options.measure = sim::millis(2);
-  options.seed = 3;
-  options.shards = static_cast<int>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const exp::TrafficResult result = exp::run_traffic_experiment(options);
-    events += result.sim_events;
-    benchmark::DoNotOptimize(result.total_goodput_bps);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));  // events/sec
-}
-BENCHMARK(BM_ShardedFabric)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 }  // namespace
 

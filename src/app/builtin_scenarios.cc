@@ -92,42 +92,16 @@ void apply_preset_packets(Preset preset, transport::FabricOptions& fabric) {
   fabric.pfabric.packet_bytes = bytes;
 }
 
-/// Applies the cross-cutting --control-threads / --solver-threads knobs to an
-/// experiment options struct.  Every fabric-backed struct embeds a
-/// FabricOptions; the ones that run the NUM oracle also take solver_threads.
-/// Both knobs are bit-identity-preserving, so they never appear in a
-/// scenario's declared parameter schema.
+/// Applies the cross-cutting --solver-threads knob and the preset's packet
+/// size to an experiment options struct.  Every fabric-backed struct embeds
+/// a FabricOptions; the ones that run the NUM oracle also take
+/// solver_threads.  The knob is bit-identity-preserving, so it never appears
+/// in a scenario's declared parameter schema.
 template <typename ExpOptions>
 void apply_thread_context(const RunContext& ctx, ExpOptions& options) {
-  options.fabric.control_threads = ctx.control_threads;
   apply_preset_packets(preset_param(ctx), options.fabric);
   if constexpr (requires { options.solver_threads; }) {
     options.solver_threads = ctx.solver_threads;
-  }
-  // --shards (also bit-identity-preserving) reaches the experiments whose
-  // options declare the knob; the driver already rejected the flag for
-  // scenarios that don't.
-  if constexpr (requires { options.shards; }) {
-    options.shards = ctx.shards;
-  }
-}
-
-/// Appends per-shard engine counters to the `perf` table.  Serial runs have
-/// no shard_perf rows, so shards=1 output is byte-identical to the
-/// pre-sharding format (and the existing golden hashes).  blocked_us is
-/// worker cv-wait wall time — nondeterministic, stripped (like wall_ms)
-/// wherever sharded output is golden-compared.
-void emit_shard_perf(RunContext& ctx,
-                     const std::vector<sim::ShardPerf>& shard_perf) {
-  if (shard_perf.empty()) return;
-  MetricTable& table = ctx.metrics.table("perf", {"counter", "value"});
-  for (std::size_t k = 0; k < shard_perf.size(); ++k) {
-    const std::string prefix = "shard" + std::to_string(k) + "_";
-    table.add_row({prefix + "events", shard_perf[k].events});
-    table.add_row({prefix + "merged_msgs", shard_perf[k].merged_msgs});
-    table.add_row({prefix + "null_windows", shard_perf[k].null_steps});
-    table.add_row({prefix + "blocked_us",
-                   static_cast<double>(shard_perf[k].blocked_ns) / 1000.0});
   }
 }
 
@@ -261,8 +235,7 @@ std::vector<ParamSpec> topology_params(bool with_jellyfish = false) {
         "topology", "",
         "fabric shape: HxLxS leaf-spine (e.g. 16x8x4) or "
         "jellyfish:switches,ports,hosts (random regular graph, e.g. "
-        "jellyfish:12,4,24); one sweepable token; jellyfish has no "
-        "leaf/spine cut, so it runs serial only (--shards=1)"};
+        "jellyfish:12,4,24); one sweepable token"};
     params.push_back({"jf_seed", "1",
                       "jellyfish only: random-regular-graph wiring seed"});
     params.push_back({"k_paths", "8",
@@ -429,7 +402,6 @@ void run_convergence(RunContext& ctx) {
         cdf.add_row({name, value, fraction});
       }
     }
-    emit_shard_perf(ctx, result.shard_perf);
   }
 }
 
@@ -475,7 +447,6 @@ void run_rate_timeseries(RunContext& ctx) {
   for (const auto& [at_ms, rate] : result.expected_steps) {
     expected.add_row({at_ms, rate});
   }
-  emit_shard_perf(ctx, result.shard_perf);
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +697,6 @@ void emit_traffic_result(RunContext& ctx, transport::Scheme scheme,
   if (result.completed + result.incomplete > 0) {
     emit_fct_table(ctx, result.completed, result.incomplete, result.fct_us);
   }
-  emit_shard_perf(ctx, result.shard_perf);
 }
 
 void run_traffic(RunContext& ctx, exp::TrafficPattern pattern,
@@ -874,7 +844,6 @@ void run_oversub_fabric_scenario(RunContext& ctx) {
 
   emit_fct_table(ctx, result.shuffle_completed, result.shuffle_incomplete,
                  result.shuffle_fct_us);
-  emit_shard_perf(ctx, result.shard_perf);
 }
 
 void run_background_burst_scenario(RunContext& ctx) {
@@ -931,7 +900,6 @@ void run_background_burst_scenario(RunContext& ctx) {
                                 : fcts.back(),
                    result.background_flows,
                    result.background_goodput_bps / 1e9});
-  emit_shard_perf(ctx, result.shard_perf);
 }
 
 // ---------------------------------------------------------------------------
@@ -993,7 +961,6 @@ void run_sensitivity(RunContext& ctx) {
            : 0.0,
        percentile_or_nan(result.convergence_times_us, 50),
        percentile_or_nan(result.convergence_times_us, 95)});
-  emit_shard_perf(ctx, result.shard_perf);
 }
 
 // ---------------------------------------------------------------------------
@@ -1174,8 +1141,7 @@ void register_builtin_scenarios() {
                                "per-event convergence verdict timeout"},
                               {"transports", "<--transport>",
                                "comma list of schemes to compare"}}),
-      .run = run_convergence,
-      .supports_shards = true});
+      .run = run_convergence});
 
   registry.add(Scenario{
       .name = "rate-timeseries",
@@ -1195,8 +1161,7 @@ void register_builtin_scenarios() {
            {"seed", "7", "workload RNG seed"},
            {"sample_us", "20", "trace sample interval"},
            {"event_interval_ms", "4", "fixed gap between network events"}}),
-      .run = run_rate_timeseries,
-      .supports_shards = true});
+      .run = run_rate_timeseries});
 
   registry.add(Scenario{
       .name = "dynamic-deviation",
@@ -1295,8 +1260,7 @@ void register_builtin_scenarios() {
            {"seed", "1", "sender/receiver selection seed"}}),
       .run = [](RunContext& ctx) {
         run_traffic(ctx, exp::TrafficPattern::kIncast, 64);
-      },
-      .supports_shards = true});
+      }});
 
   registry.add(Scenario{
       .name = "permutation",
@@ -1316,8 +1280,7 @@ void register_builtin_scenarios() {
            {"seed", "1", "matching RNG seed"}}),
       .run = [](RunContext& ctx) {
         run_traffic(ctx, exp::TrafficPattern::kPermutation, 0);
-      },
-      .supports_shards = true});
+      }});
 
   registry.add(Scenario{
       .name = "shuffle",
@@ -1337,8 +1300,7 @@ void register_builtin_scenarios() {
            {"seed", "1", "RNG seed"}}),
       .run = [](RunContext& ctx) {
         run_traffic(ctx, exp::TrafficPattern::kAllToAll, 250);
-      },
-      .supports_shards = true});
+      }});
 
   registry.add(Scenario{
       .name = "websearch-fct",
@@ -1392,8 +1354,7 @@ void register_builtin_scenarios() {
            {"measure_ms", "4", "utilization / goodput window after the wave"},
            {"horizon_ms", "200", "hard stop for wave stragglers"},
            {"seed", "1", "workload RNG seed"}}),
-      .run = run_oversub_fabric_scenario,
-      .supports_shards = true});
+      .run = run_oversub_fabric_scenario});
 
   registry.add(Scenario{
       .name = "background-burst",
@@ -1416,8 +1377,7 @@ void register_builtin_scenarios() {
             "background settling time (>= burst_interval_ms / 2)"},
            {"horizon_ms", "500", "hard stop for burst stragglers"},
            {"seed", "1", "workload RNG seed"}}),
-      .run = run_background_burst_scenario,
-      .supports_shards = true});
+      .run = run_background_burst_scenario});
 
   registry.add(Scenario{
       .name = "sensitivity",
@@ -1441,8 +1401,7 @@ void register_builtin_scenarios() {
            {"beta", "0.5", "xWI price averaging factor (Eq. 11)"},
            {"slowdown", "1", "control-loop slowdown factor (§6.2)"},
            {"seed", "21", "workload RNG seed"}}),
-      .run = run_sensitivity,
-      .supports_shards = true});
+      .run = run_sensitivity});
 
   registry.add(Scenario{
       .name = "trace-replay",

@@ -1,6 +1,5 @@
 #include "app/driver.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -8,15 +7,14 @@
 #include <iostream>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "app/perf.h"
 #include "app/run_plan.h"
 #include "app/scenario.h"
 #include "app/sweep.h"
-#include "app/worker_pool.h"
 #include "util/parse.h"
+#include "util/worker_pool.h"
 
 namespace numfabric::app {
 namespace {
@@ -42,20 +40,13 @@ void print_usage(std::FILE* out) {
       "  --jobs=<N>            parallel sweep runs (default 1; 0 = all cores)\n"
       "  --solver-threads=<N>  NUM oracle solve threads (default 1; 0 = all\n"
       "                        cores; results are bit-identical for any N)\n"
-      "  --control-threads=<N> control-plane sweep threads (default 1; 0 = all\n"
-      "                        cores; results are bit-identical for any N)\n"
-      "  --shards=<N>          parallel engine shards for sharded-capable\n"
-      "                        scenarios (default 1 = serial; 0 = one shard\n"
-      "                        per leaf, capped at cores; output is\n"
-      "                        bit-identical for any N)\n"
       "  --solver-stats        add per-run oracle cost scalars to sweep\n"
       "                        output (solver_solves/sweeps/relaxations/\n"
       "                        wall_us)\n"
       "  --vary-seed           per-run seed = base seed + run index\n"
       "  --full                paper-scale runs (same as NUMFABRIC_FULL=1)\n"
       "  --list                list registered scenarios (the fidelity column\n"
-      "                        shows which take fidelity=flow, the shards\n"
-      "                        column which take --shards=N)\n"
+      "                        shows which take fidelity=flow)\n"
       "  --describe=<name>     show a scenario's parameter schema\n",
       out);
 }
@@ -73,14 +64,12 @@ const char* fidelity_support(const Scenario& scenario) {
 }
 
 void print_list() {
-  std::printf("%-18s %-10s %-11s %-6s %s\n", "scenario", "figure", "fidelity",
-              "shards", "description");
+  std::printf("%-18s %-10s %-11s %s\n", "scenario", "figure", "fidelity",
+              "description");
   for (const Scenario* scenario : ScenarioRegistry::global().list()) {
-    std::printf("%-18s %-10s %-11s %-6s %s\n", scenario->name.c_str(),
+    std::printf("%-18s %-10s %-11s %s\n", scenario->name.c_str(),
                 scenario->figure.empty() ? "-" : scenario->figure.c_str(),
-                fidelity_support(*scenario),
-                scenario->supports_shards ? "yes" : "-",
-                scenario->description.c_str());
+                fidelity_support(*scenario), scenario->description.c_str());
   }
 }
 
@@ -119,8 +108,6 @@ int run_cli(const std::vector<std::string>& args) {
   bool vary_seed = false;
   int jobs = 1;
   int solver_threads = 1;
-  int control_threads = 1;
-  int shards = 1;
   bool solver_stats = false;
   std::vector<std::string> sweep_tokens;
   std::vector<std::string> param_tokens;
@@ -173,23 +160,6 @@ int run_cli(const std::vector<std::string>& args) {
         return 2;
       }
       solver_threads = static_cast<int>(*value);
-    } else if (arg.rfind("--control-threads=", 0) == 0) {
-      const auto value = util::parse_int(value_of("--control-threads="));
-      if (!value || *value < 0 || *value > 4096) {
-        std::fprintf(stderr,
-                     "bad --control-threads value '%s' (expected 0..4096)\n",
-                     arg.c_str());
-        return 2;
-      }
-      control_threads = static_cast<int>(*value);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      const auto value = util::parse_int(value_of("--shards="));
-      if (!value || *value < 0 || *value > 4096) {
-        std::fprintf(stderr, "bad --shards value '%s' (expected 0..4096)\n",
-                     arg.c_str());
-        return 2;
-      }
-      shards = static_cast<int>(*value);
     } else if (arg == "--solver-stats") {
       solver_stats = true;
     } else if (arg == "--vary-seed") {
@@ -216,29 +186,6 @@ int run_cli(const std::vector<std::string>& args) {
                  scenario_name.c_str());
     return 2;
   }
-  if (shards != 1 && !scenario->supports_shards) {
-    std::fprintf(stderr,
-                 "scenario %s does not run on the sharded engine; drop "
-                 "--shards (sharded-capable: see README)\n",
-                 scenario_name.c_str());
-    return 2;
-  }
-  // --shards threads inside --jobs workers multiply; oversubscribing a small
-  // machine silently serializes both, so say so up front.  shards == 1 is
-  // the serial engine — plain --jobs oversubscription stays silent, as ever.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned effective_shards =
-      shards == 0 ? hw : static_cast<unsigned>(shards);
-  const unsigned effective_jobs =
-      static_cast<unsigned>(WorkerPool::resolve_jobs(jobs));
-  if (effective_shards > 1 && effective_jobs * effective_shards > hw) {
-    std::fprintf(stderr,
-                 "warning: --jobs=%u x --shards=%u worker threads "
-                 "oversubscribe %u hardware threads; results stay "
-                 "bit-identical but wall time will suffer\n",
-                 effective_jobs, effective_shards, hw);
-  }
-
   try {
     Options options;
     if (!config_path.empty()) options.merge(Options::from_file(config_path));
@@ -326,8 +273,7 @@ int run_cli(const std::vector<std::string>& args) {
     int exit_code = 0;
     if (sweep_tokens.empty()) {
       RunContext ctx{options, parse_scheme(transport), metrics, full,
-                     WorkerPool::resolve_jobs(solver_threads),
-                     WorkerPool::resolve_jobs(control_threads), shards};
+                     util::WorkerPool::resolve_jobs(solver_threads)};
       const PerfSnapshot perf_snapshot;
       const auto wall_start = std::chrono::steady_clock::now();
       scenario->run(ctx);
@@ -356,10 +302,8 @@ int run_cli(const std::vector<std::string>& args) {
       request.plan = std::move(plan);
       request.scheme = parse_scheme(transport);
       request.full_scale = full;
-      request.jobs = WorkerPool::resolve_jobs(jobs);
-      request.solver_threads = WorkerPool::resolve_jobs(solver_threads);
-      request.control_threads = WorkerPool::resolve_jobs(control_threads);
-      request.shards = shards;
+      request.jobs = util::WorkerPool::resolve_jobs(jobs);
+      request.solver_threads = util::WorkerPool::resolve_jobs(solver_threads);
       request.report_solver_stats = solver_stats;
       request.vary_seed = vary_seed;
       const SweepResult result = run_sweep(request, metrics);

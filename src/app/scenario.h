@@ -45,13 +45,6 @@ struct RunContext {
   bool full_scale = false;
   /// --solver-threads: wave-parallel NUM oracle solves (bit-identical to 1).
   int solver_threads = 1;
-  /// --control-threads: chunked parallel control-plane sweeps (bit-identical
-  /// to 1).
-  int control_threads = 1;
-  /// --shards: parallel engine shards (1 = serial; 0 = one per leaf, capped
-  /// at cores; bit-identical to serial).  Only consulted by scenarios with
-  /// supports_shards; the driver rejects the flag elsewhere.
-  int shards = 1;
 };
 
 struct Scenario {
@@ -61,10 +54,6 @@ struct Scenario {
   std::string figure;
   std::vector<ParamSpec> params;
   std::function<void(RunContext&)> run;
-  /// True when the scenario's packet path runs on the sharded engine
-  /// (RunContext::shards); the driver rejects --shards != 1 elsewhere
-  /// rather than silently running serial.
-  bool supports_shards = false;
 };
 
 class ScenarioRegistry {

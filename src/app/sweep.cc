@@ -7,8 +7,8 @@
 #include <string>
 
 #include "app/perf.h"
-#include "app/worker_pool.h"
 #include "util/parse.h"
+#include "util/worker_pool.h"
 
 namespace numfabric::app {
 namespace {
@@ -60,7 +60,7 @@ SweepResult run_sweep(const SweepRequest& request, MetricWriter& merged) {
   SweepResult result;
   result.statuses.resize(runs.size());
 
-  WorkerPool pool(request.jobs);
+  util::WorkerPool pool(request.jobs);
   pool.parallel_for(static_cast<int>(runs.size()), [&](int i) {
     const RunSpec& run = runs[static_cast<std::size_t>(i)];
     SweepRunStatus& status = result.statuses[static_cast<std::size_t>(i)];
@@ -77,8 +77,7 @@ SweepResult run_sweep(const SweepRequest& request, MetricWriter& merged) {
     try {
       RunContext ctx{options, request.scheme,
                      buffers[static_cast<std::size_t>(i)], request.full_scale,
-                     request.solver_threads, request.control_threads,
-                     request.shards};
+                     request.solver_threads};
       // Counters are thread-local and this run executes entirely on this
       // worker, so the delta isolates the run's substrate activity.
       const PerfSnapshot perf_snapshot;

@@ -1,5 +1,5 @@
 // The sweep engine: executes a RunPlan of independent scenario runs on a
-// WorkerPool and merges the per-run metrics into one table set.
+// util::WorkerPool and merges the per-run metrics into one table set.
 //
 // Isolation: every run builds its own Options (base + that run's swept
 // assignments), its own MetricWriter buffer and — inside the scenario — its
@@ -42,13 +42,9 @@ struct SweepRequest {
   bool full_scale = false;
   /// Worker threads (already resolved; >= 1).
   int jobs = 1;
-  /// Per-run NUM oracle / control-plane threads (RunContext::solver_threads
-  /// and ::control_threads; results are bit-identical for any value).
+  /// Per-run NUM oracle threads (RunContext::solver_threads; results are
+  /// bit-identical for any value).
   int solver_threads = 1;
-  int control_threads = 1;
-  /// Per-run engine shards (RunContext::shards; passed through unresolved so
-  /// 0 keeps its "one per leaf, capped at cores" meaning inside the run).
-  int shards = 1;
   /// Emit per-run solver cost scalars (solver_solves / solver_sweeps /
   /// solver_wall_us) into sweep_scalars.  Off by default: solver_wall_us is
   /// nondeterministic, and the default keeps merged sweep output — which the

@@ -8,37 +8,6 @@
 
 namespace numfabric::exp {
 
-namespace {
-
-void install_shard_plan(ShardSetup& setup, sim::ShardedSimulator& engine,
-                        net::Topology& topo, transport::Fabric& fabric) {
-  engine.set_lookahead(setup.plan.lookahead);
-  setup.router = std::make_unique<net::ShardRouter>(engine);
-  net::apply_shard_plan(topo, setup.plan, engine, *setup.router);
-  fabric.set_sharding(&setup.plan, &engine);
-}
-
-}  // namespace
-
-void apply_sharding(ShardSetup& setup, sim::ShardedSimulator& engine,
-                    net::Topology& topo, transport::Fabric& fabric,
-                    const net::LeafSpine& leaf_spine,
-                    const net::LeafSpineOptions& topology) {
-  if (!engine.sharded()) return;
-  setup.plan =
-      net::build_leaf_shard_plan(leaf_spine, topology, engine.num_shards());
-  install_shard_plan(setup, engine, topo, fabric);
-}
-
-void apply_sharding(ShardSetup& setup, sim::ShardedSimulator& engine,
-                    net::Topology& topo, transport::Fabric& fabric,
-                    const BuiltFabric& built) {
-  if (!engine.sharded()) return;
-  setup.plan =
-      net::build_shard_plan(built.graph, built.mat, engine.num_shards());
-  install_shard_plan(setup, engine, topo, fabric);
-}
-
 BuiltFabric plan_fabric(const net::LeafSpineOptions& leaf_spine,
                         const std::optional<net::JellyfishOptions>& jellyfish,
                         int k_paths) {
@@ -49,12 +18,10 @@ BuiltFabric plan_fabric(const net::LeafSpineOptions& leaf_spine,
     fabric.graph = net::make_jellyfish(*jellyfish);
     fabric.base_rtt = net::base_rtt(fabric.graph);
     fabric.host_rate_bps = jellyfish->host_rate_bps;
-    fabric.tier1_switches = jellyfish->switches;
   } else {
     fabric.graph = net::make_leaf_spine(leaf_spine);
     fabric.base_rtt = net::leaf_spine_cross_rtt(leaf_spine);
     fabric.host_rate_bps = leaf_spine.host_rate_bps;
-    fabric.tier1_switches = leaf_spine.num_leaves;
   }
   return fabric;
 }

@@ -4,41 +4,18 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "net/shard_plan.h"
 #include "net/topology.h"
 #include "num/num_solver.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
-#include "transport/fabric.h"
 #include "transport/flow.h"
 
 namespace numfabric::exp {
-
-/// Sharded-engine wiring owned by one experiment run: the leaf shard plan
-/// and the cross-shard delivery router.  Empty (no router) when the engine
-/// is serial.  Declare it in the experiment's scope — the fabric keeps a
-/// pointer to the plan.
-struct ShardSetup {
-  net::ShardPlan plan;
-  std::unique_ptr<net::ShardRouter> router;
-};
-
-/// When `engine` is sharded: builds the leaf-major shard plan, sets the
-/// engine's lookahead to the core-link delay, rebinds every link onto its
-/// shard, and switches the fabric to sharded endpoint placement.  Serial
-/// engines are left untouched.  Call after attach_agents and before any
-/// flow is added.
-void apply_sharding(ShardSetup& setup, sim::ShardedSimulator& engine,
-                    net::Topology& topo, transport::Fabric& fabric,
-                    const net::LeafSpine& leaf_spine,
-                    const net::LeafSpineOptions& topology);
 
 /// One evaluation fabric — leaf-spine or jellyfish — as every experiment
 /// runner consumes it: the FabricGraph plus, after materialize_fabric(), the
@@ -54,9 +31,6 @@ struct BuiltFabric {
   double host_rate_bps = 0;
   bool jellyfish = false;
   int k_paths = 8;
-  /// Tier-1 switch count — the shard-count clamp basis (= num_leaves on a
-  /// leaf-spine).
-  int tier1_switches = 0;
   /// Host object -> graph node id (filled by materialize_fabric).
   std::unordered_map<const net::Host*, int> host_node;
   /// Memoized per-ordered-pair jellyfish path sets (Yen is deterministic, so
@@ -65,7 +39,7 @@ struct BuiltFabric {
 };
 
 /// Builds the graph + metadata for either fabric kind.  No Topology needed
-/// yet — callers size the shard engine off the plan before materializing.
+/// yet.
 BuiltFabric plan_fabric(const net::LeafSpineOptions& leaf_spine,
                         const std::optional<net::JellyfishOptions>& jellyfish,
                         int k_paths);
@@ -90,14 +64,6 @@ net::Path to_packet_path(const BuiltFabric& fabric,
 /// Per-link capacities of a graph in NUM rate units, in graph link order —
 /// equal to LinkIndexer::capacities() for the materialized topology.
 std::vector<double> graph_capacities(const net::FabricGraph& graph);
-
-/// Graph-view sharding: same contract as the LeafSpine overload, but the
-/// plan is derived from graph structure.  Throws std::invalid_argument with
-/// the shard-partition obstacle when the engine is sharded and the graph
-/// has no leaf/spine cut (jellyfish).
-void apply_sharding(ShardSetup& setup, sim::ShardedSimulator& engine,
-                    net::Topology& topo, transport::Fabric& fabric,
-                    const BuiltFabric& built);
 
 /// Maps every link of a topology to a dense index and exposes capacities in
 /// NUM rate units — the glue between the packet world and the fluid oracles.

@@ -1,7 +1,6 @@
 #include "exp/contention_experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -115,9 +114,7 @@ OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options) {
     throw std::invalid_argument(
         "run_oversub_fabric: horizon must cover warmup + measure");
   }
-  sim::ShardedSimulator engine(
-      net::resolve_shard_count(options.shards, options.topology.num_leaves));
-  sim::Simulator& sim = engine.global();
+  sim::Simulator sim;
   transport::FabricOptions fabric_options = options.fabric;
   fabric_options.scheme = options.scheme;
   transport::Fabric fabric(sim, fabric_options);
@@ -125,8 +122,6 @@ OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options) {
   const net::LeafSpine leaf_spine =
       build_fabric(topo, fabric, options.topology, options.core_buffer_bytes);
   fabric.attach_agents(topo);
-  ShardSetup sharding;
-  apply_sharding(sharding, engine, topo, fabric, leaf_spine, options.topology);
 
   sim::Rng rng(options.seed);
   const auto background_pairs = workload::permutation_pairs(leaf_spine.hosts, rng);
@@ -134,12 +129,9 @@ OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options) {
 
   const num::AlphaFairUtility utility(options.alpha);
   // Background flows are long-running and never complete, so this counts
-  // finished wave flows only.  Completions fire on the source host's shard
-  // worker, so the counter the coordinator polls is atomic.
-  std::atomic<int> wave_done{0};
-  fabric.set_on_complete([&wave_done](transport::Flow&) {
-    wave_done.fetch_add(1, std::memory_order_relaxed);
-  });
+  // finished wave flows only.
+  int wave_done = 0;
+  fabric.set_on_complete([&wave_done](transport::Flow&) { ++wave_done; });
 
   net::FlowId flow_index = 1;
   const auto launch = [&](const workload::HostPair& pair,
@@ -210,10 +202,9 @@ OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options) {
   }
 
   const int wave_total = static_cast<int>(wave.size());
-  while ((wave_done.load(std::memory_order_relaxed) < wave_total ||
-          engine.now() < measure_end) &&
-         engine.now() < options.horizon && engine.pending()) {
-    engine.run_until(std::min(engine.now() + sim::millis(1), options.horizon));
+  while ((wave_done < wave_total || sim.now() < measure_end) &&
+         sim.now() < options.horizon && sim.pending()) {
+    sim.run_until(std::min(sim.now() + sim::millis(1), options.horizon));
   }
 
   OversubFabricResult result;
@@ -262,8 +253,7 @@ OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options) {
   result.price_convergence_us =
       tracker.done() ? sim::to_micros(tracker.converged_at - options.warmup)
                      : std::numeric_limits<double>::quiet_NaN();
-  result.sim_events = engine.events_executed();
-  result.shard_perf = engine.shard_perf();
+  result.sim_events = sim.events_executed();
   result.queue_drops = total_queue_drops(topo);
   return result;
 }
@@ -294,9 +284,7 @@ BackgroundBurstResult run_background_burst(const BackgroundBurstOptions& options
         "run_background_burst: background_load must be in [0, 1]");
   }
 
-  sim::ShardedSimulator engine(
-      net::resolve_shard_count(options.shards, options.topology.num_leaves));
-  sim::Simulator& sim = engine.global();
+  sim::Simulator sim;
   transport::FabricOptions fabric_options = options.fabric;
   fabric_options.scheme = options.scheme;
   transport::Fabric fabric(sim, fabric_options);
@@ -304,8 +292,6 @@ BackgroundBurstResult run_background_burst(const BackgroundBurstOptions& options
   const net::LeafSpine leaf_spine =
       build_fabric(topo, fabric, options.topology, options.core_buffer_bytes);
   fabric.attach_agents(topo);
-  ShardSetup sharding;
-  apply_sharding(sharding, engine, topo, fabric, leaf_spine, options.topology);
 
   sim::Rng rng(options.seed);
   auto background_pairs = workload::permutation_pairs(leaf_spine.hosts, rng);
@@ -314,11 +300,8 @@ BackgroundBurstResult run_background_burst(const BackgroundBurstOptions& options
   background_pairs.resize(std::min(keep, background_pairs.size()));
 
   const num::AlphaFairUtility utility(options.alpha);
-  // Burst completions fire on shard workers; the coordinator polls the count.
-  std::atomic<int> burst_done{0};
-  fabric.set_on_complete([&burst_done](transport::Flow&) {
-    burst_done.fetch_add(1, std::memory_order_relaxed);
-  });
+  int burst_done = 0;
+  fabric.set_on_complete([&burst_done](transport::Flow&) { ++burst_done; });
 
   net::FlowId flow_index = 1;
   const auto launch = [&](const workload::HostPair& pair,
@@ -388,10 +371,9 @@ BackgroundBurstResult run_background_burst(const BackgroundBurstOptions& options
 
   int burst_total = 0;
   for (const auto& flows : bursts) burst_total += static_cast<int>(flows.size());
-  while ((burst_done.load(std::memory_order_relaxed) < burst_total ||
-          engine.now() < background_end_time) &&
-         engine.now() < options.horizon && engine.pending()) {
-    engine.run_until(std::min(engine.now() + sim::millis(1), options.horizon));
+  while ((burst_done < burst_total || sim.now() < background_end_time) &&
+         sim.now() < options.horizon && sim.pending()) {
+    sim.run_until(std::min(sim.now() + sim::millis(1), options.horizon));
   }
 
   BackgroundBurstResult result;
@@ -429,8 +411,7 @@ BackgroundBurstResult run_background_burst(const BackgroundBurstOptions& options
     result.bursts.push_back(std::move(row));
   }
 
-  result.sim_events = engine.events_executed();
-  result.shard_perf = engine.shard_perf();
+  result.sim_events = sim.events_executed();
   result.queue_drops = total_queue_drops(topo);
   return result;
 }

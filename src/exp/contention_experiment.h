@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "net/topology.h"
-#include "sim/sharded_simulator.h"
 #include "transport/fabric.h"
 
 namespace numfabric::exp {
@@ -54,9 +53,6 @@ struct OversubFabricOptions {
   sim::TimeNs horizon = sim::millis(200);
   PriceConvergenceOptions price;
   std::uint64_t seed = 1;
-  /// Parallel engine shards (1 = serial; 0 = one per leaf, capped at
-  /// cores).  Output is bit-identical for every value.
-  int shards = 1;
 };
 
 struct CoreLinkStats {
@@ -92,8 +88,6 @@ struct OversubFabricResult {
 
   std::uint64_t sim_events = 0;
   std::uint64_t queue_drops = 0;
-  /// Per-shard engine counters; empty when the run was serial.
-  std::vector<sim::ShardPerf> shard_perf;
 };
 
 OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options);
@@ -118,8 +112,6 @@ struct BackgroundBurstOptions {
   sim::TimeNs warmup = sim::millis(2);
   sim::TimeNs horizon = sim::millis(500);
   std::uint64_t seed = 1;
-  /// Parallel engine shards (1 = serial; 0 = one per leaf, capped at cores).
-  int shards = 1;
 };
 
 struct BurstStats {
@@ -147,8 +139,6 @@ struct BackgroundBurstResult {
   std::vector<double> burst_fct_us;  // all completed burst flows
   std::uint64_t sim_events = 0;
   std::uint64_t queue_drops = 0;
-  /// Per-shard engine counters; empty when the run was serial.
-  std::vector<sim::ShardPerf> shard_perf;
 };
 
 BackgroundBurstResult run_background_burst(const BackgroundBurstOptions& options);

@@ -32,8 +32,6 @@ class Driver {
  public:
   explicit Driver(const SemiDynamicOptions& options)
       : options_(options),
-        engine_(net::resolve_shard_count(options.shards,
-                                         options.topology.num_leaves)),
         fabric_(sim_, patched_fabric_options(options)),
         topo_(sim_),
         rng_(options.seed),
@@ -59,12 +57,7 @@ class Driver {
   void schedule_trace_sampler();
 
   SemiDynamicOptions options_;
-  // The engine owns the worker threads and every shard queue; it is declared
-  // (and thus destroyed) around everything that schedules into it.  All
-  // Driver events run on the global stream — only packet forwarding shards.
-  sim::ShardedSimulator engine_;
-  ShardSetup sharding_;
-  sim::Simulator& sim_ = engine_.global();
+  sim::Simulator sim_;
   transport::Fabric fabric_;
   net::Topology topo_;
   sim::Rng rng_;
@@ -93,8 +86,6 @@ void Driver::build_network() {
   leaf_spine_ = net::build_leaf_spine(topo_, options_.topology,
                                       fabric_.queue_factory());
   fabric_.attach_agents(topo_);
-  apply_sharding(sharding_, engine_, topo_, fabric_, leaf_spine_,
-                 options_.topology);
   indexer_ = std::make_unique<LinkIndexer>(topo_);
 
   const auto pairs =
@@ -300,10 +291,9 @@ SemiDynamicResult Driver::run() {
   if (options_.record_trace) schedule_trace_sampler();
   // Let the initial flow population settle, unrecorded, then run events.
   begin_measurement(/*record=*/false);
-  engine_.run();
+  sim_.run();
 
-  result_.sim_events = engine_.events_executed();
-  result_.shard_perf = engine_.shard_perf();
+  result_.sim_events = sim_.events_executed();
   for (const auto& link : topo_.links()) {
     result_.total_queue_drops += link->queue().drops();
   }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "net/topology.h"
-#include "sim/sharded_simulator.h"
 #include "stats/convergence.h"
 #include "transport/fabric.h"
 
@@ -37,10 +36,6 @@ struct SemiDynamicOptions {
   /// Oracle execution: >1 runs the NUM solver's wave-parallel path on this
   /// many threads (bit-identical results for any value).
   int solver_threads = 1;
-
-  /// Parallel engine shards (1 = serial; 0 = one per leaf, capped at
-  /// cores).  Output is bit-identical for every value.
-  int shards = 1;
 
   stats::ConvergenceOptions convergence;  // filter_rise_time is auto-filled
   /// Pause between an event's verdict and the next event.
@@ -73,8 +68,6 @@ struct SemiDynamicResult {
 
   std::uint64_t sim_events = 0;
   std::uint64_t total_queue_drops = 0;
-  /// Per-shard engine counters; empty when the run was serial.
-  std::vector<sim::ShardPerf> shard_perf;
 };
 
 SemiDynamicResult run_semi_dynamic(const SemiDynamicOptions& options);

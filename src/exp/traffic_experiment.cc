@@ -1,7 +1,6 @@
 #include "exp/traffic_experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "exp/common.h"
@@ -33,16 +32,7 @@ TrafficPattern parse_traffic_pattern(const std::string& name) {
 TrafficResult run_traffic_experiment(const TrafficOptions& options) {
   BuiltFabric built = plan_fabric(options.topology, options.jellyfish,
                                   options.k_paths);
-  if (options.shards != 1) {
-    const std::string obstacle = net::shard_partition_obstacle(built.graph);
-    if (!obstacle.empty()) {
-      throw std::invalid_argument("--shards=" + std::to_string(options.shards) +
-                                  " is not available on this fabric: " + obstacle);
-    }
-  }
-  sim::ShardedSimulator engine(
-      net::resolve_shard_count(options.shards, built.tier1_switches));
-  sim::Simulator& sim = engine.global();
+  sim::Simulator sim;
   transport::FabricOptions fabric_options = options.fabric;
   fabric_options.scheme = options.scheme;
   transport::Fabric fabric(sim, fabric_options);
@@ -52,9 +42,6 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
   materialize_fabric(built, topo, fabric.queue_factory(),
                      fabric.queue_factory(options.core_buffer_bytes));
   fabric.attach_agents(topo);
-
-  ShardSetup sharding;
-  apply_sharding(sharding, engine, topo, fabric, built);
 
   const std::vector<net::Host*>& hosts = built.mat.hosts;
   sim::Rng rng(options.seed);
@@ -73,12 +60,8 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
 
   const bool rate_mode = options.flow_size_bytes == 0;
   const num::AlphaFairUtility utility(options.alpha);
-  // Completions fire on the source host's shard worker; the count is the
-  // only completion state the coordinator polls mid-run.
-  std::atomic<int> completed{0};
-  fabric.set_on_complete([&completed](transport::Flow&) {
-    completed.fetch_add(1, std::memory_order_relaxed);
-  });
+  int completed = 0;
+  fabric.set_on_complete([&completed](transport::Flow&) { ++completed; });
 
   std::vector<const transport::Flow*> flows;
   flows.reserve(pairs.size());
@@ -107,7 +90,7 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
         start_bytes[i] = flows[i]->receiver().total_bytes();
       }
     });
-    engine.run_until(options.warmup + options.measure);
+    sim.run_until(options.warmup + options.measure);
 
     for (std::size_t i = 0; i < flows.size(); ++i) {
       const double rate = window_rate_bps(
@@ -117,10 +100,9 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
     }
     result.jain_index = jain_index(result.flow_rates_bps);
   } else {
-    while (completed.load(std::memory_order_relaxed) <
-               static_cast<int>(flows.size()) &&
-           engine.now() < options.horizon && engine.pending()) {
-      engine.run_until(std::min(engine.now() + sim::millis(5), options.horizon));
+    while (completed < static_cast<int>(flows.size()) &&
+           sim.now() < options.horizon && sim.pending()) {
+      sim.run_until(std::min(sim.now() + sim::millis(5), options.horizon));
     }
     for (const transport::Flow* flow : flows) {
       if (!flow->completed()) {
@@ -145,8 +127,7 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
       break;
   }
 
-  result.sim_events = engine.events_executed();
-  result.shard_perf = engine.shard_perf();
+  result.sim_events = sim.events_executed();
   for (const auto& link : topo.links()) {
     result.queue_drops += link->queue().drops();
   }

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "net/topology.h"
-#include "sim/sharded_simulator.h"
 #include "transport/fabric.h"
 
 namespace numfabric::exp {
@@ -43,8 +42,7 @@ struct TrafficOptions {
   net::LeafSpineOptions topology;
   /// When set, the run uses a jellyfish random-regular fabric instead of the
   /// leaf-spine in `topology`; routes come from the k-shortest-path table
-  /// (k_paths per switch pair).  Jellyfish has no leaf/spine cut, so
-  /// shards != 1 is rejected with the shard planner's explanation.
+  /// (k_paths per switch pair).
   std::optional<net::JellyfishOptions> jellyfish;
   int k_paths = 8;
   transport::FabricOptions fabric;
@@ -65,10 +63,6 @@ struct TrafficOptions {
   sim::TimeNs measure = sim::millis(12);  // rate mode
   sim::TimeNs horizon = sim::seconds(5);  // FCT mode hard stop
   std::uint64_t seed = 1;
-
-  /// Parallel engine shards (1 = serial; 0 = one per leaf, capped at
-  /// cores).  Output is bit-identical for every value.
-  int shards = 1;
 };
 
 struct TrafficResult {
@@ -89,8 +83,6 @@ struct TrafficResult {
 
   std::uint64_t sim_events = 0;
   std::uint64_t queue_drops = 0;
-  /// Per-shard engine counters; empty when the run was serial.
-  std::vector<sim::ShardPerf> shard_perf;
 };
 
 TrafficResult run_traffic_experiment(const TrafficOptions& options);

@@ -7,9 +7,7 @@
 //    (Topology::materialize), byte-identical to the historical hand-rolled
 //    builders;
 //  * the flow-fluid engine takes the capacity vector + a path table
-//    (flowsim::VirtualFabric::from_graph);
-//  * the shard planner derives its partition and conservative lookahead from
-//    tiers and cut-cable delays (net::build_shard_plan).
+//    (flowsim::VirtualFabric::from_graph).
 //
 // Directed-link numbering: cable c contributes link 2c (a->b) and 2c+1
 // (b->a); reverse(l) == l ^ 1.  Because materialize() creates links in cable
@@ -30,8 +28,7 @@ namespace numfabric::net {
 enum class GraphNodeKind : std::uint8_t { kHost, kSwitch };
 
 /// Tier labels: hosts are tier 0; in a Clos fabric leaves/ToRs are tier 1 and
-/// spines tier 2.  Non-Clos fabrics (jellyfish) put every switch in tier 1 —
-/// the shard planner uses tiers to decide whether a leaf/spine cut exists.
+/// spines tier 2.  Non-Clos fabrics (jellyfish) put every switch in tier 1.
 struct GraphNode {
   GraphNodeKind kind = GraphNodeKind::kSwitch;
   std::string name;
@@ -153,8 +150,7 @@ sim::TimeNs leaf_spine_cross_rtt(const LeafSpineOptions& options);
 
 /// Jellyfish (Singla et al.): a random r-regular graph over the switches,
 /// deterministic for a given seed, with hosts attached round-robin.  Every
-/// switch is tier 1 — there is no leaf/spine cut, so the fabric runs on the
-/// serial engine only (the shard planner explains why when asked).
+/// switch is tier 1.
 struct JellyfishOptions {
   int switches = 16;
   /// Network-facing ports per switch == degree r of the random regular graph.

@@ -6,14 +6,13 @@
 #include <utility>
 
 #include "net/node.h"
-#include "net/shard_plan.h"
 #include "sim/substrate_stats.h"
 
 namespace numfabric::net {
 
 Link::Link(sim::Simulator& sim, std::string name, double rate_bps,
            sim::TimeNs delay, std::unique_ptr<Queue> queue, Node* dst)
-    : sim_(&sim),
+    : sim_(sim),
       name_(std::move(name)),
       rate_bps_(rate_bps),
       delay_(delay),
@@ -69,23 +68,14 @@ void Link::try_start_tx() {
   stats.bytes_forwarded += next->size;
   const sim::TimeNs tx = sim::transmission_time(next->size, rate_bps_);
   // Serialization finishes at +tx: free the transmitter and continue.
-  sim_->schedule_in(tx, [this] {
+  sim_.schedule_in(tx, [this] {
     busy_ = false;
     try_start_tx();
   });
-  // The packet reaches the peer a propagation delay after serialization.
-  if (cross_router_ != nullptr) {
-    // The peer lives on another shard: the delivery becomes a timestamped
-    // message carrying the order key this push would have had serially.
-    cross_router_->post(cross_src_shard_, cross_dst_shard_,
-                        sim_->now() + tx + delay_, sim_->consume_push_key(),
-                        dst_, std::move(*next));
-  } else {
-    // Local delivery: the packet waits in the in-flight ring rather than in
-    // a heap-allocated closure.
-    inflight_.push_back(std::move(*next));
-    sim_->schedule_in(tx + delay_, [this] { deliver_front(); });
-  }
+  // The packet reaches the peer a propagation delay after serialization,
+  // waiting in the in-flight ring rather than in a heap-allocated closure.
+  inflight_.push_back(std::move(*next));
+  sim_.schedule_in(tx + delay_, [this] { deliver_front(); });
 }
 
 void Link::deliver_front() {

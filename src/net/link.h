@@ -19,7 +19,6 @@
 namespace numfabric::net {
 
 class Node;
-class ShardRouter;
 
 /// Per-link hook for scheme-specific state machines.  This is the legacy
 /// object-per-link encoding (one virtual agent, one timer event per link);
@@ -108,27 +107,11 @@ class Link {
   /// Total bytes serialized since construction (for utilization metrics).
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
-  // --- sharded-engine wiring (see net/shard_plan.h) ------------------------
-
-  /// Moves this link onto another event stream (its owning shard's
-  /// simulator).  Must happen before any packet is offered.
-  void rebind_sim(sim::Simulator& sim) { sim_ = &sim; }
-
-  /// Marks the link's destination node as living on a different shard:
-  /// deliveries are posted to `router` as timestamped cross-shard messages
-  /// instead of being scheduled locally.  The serialization-finish event
-  /// stays local (the transmitter is shard-owned state).
-  void set_cross_shard(ShardRouter* router, int src_shard, int dst_shard) {
-    cross_router_ = router;
-    cross_src_shard_ = src_shard;
-    cross_dst_shard_ = dst_shard;
-  }
-
  private:
   void try_start_tx();
   void deliver_front();
 
-  sim::Simulator* sim_;
+  sim::Simulator& sim_;
   std::string name_;
   double rate_bps_;
   sim::TimeNs delay_;
@@ -142,10 +125,6 @@ class Link {
   ControlStamp control_mode_ = ControlStamp::kNone;
   bool busy_ = false;
   std::uint64_t bytes_sent_ = 0;
-  // Cross-shard delivery (null for serial runs and intra-shard links).
-  ShardRouter* cross_router_ = nullptr;
-  int cross_src_shard_ = 0;
-  int cross_dst_shard_ = 0;
   // Packets serialized but not yet delivered, in transmit order.  Delivery
   // times are (serialization finish + constant delay) and finishes are
   // strictly increasing, so deliveries pop FIFO.  Keeping the packet here —

@@ -88,7 +88,7 @@ class Topology {
 
 struct LeafSpine {
   /// The data-first description the fabric was materialized from, and the
-  /// graph-indexed object view (shard planning, path tables).
+  /// graph-indexed object view (path tables).
   FabricGraph graph;
   MaterializedFabric mat;
 

@@ -1,25 +1,19 @@
 // A cancellable priority queue of timed events.
 //
-// Events are totally ordered by OrderKey = (fire time, rank, sequence): the
-// rank is the global execution rank of the event that pushed them and the
-// sequence breaks ties among pushes of one rank in push order.  For a single
-// serial simulator the rank is monotone non-decreasing in the sequence
-// number, so the order degenerates to the classic (time, FIFO) tie-break and
-// is independent of heap internals.  The sharded engine
-// (sharded_simulator.h) reproduces the same total order across N per-shard
-// queues by pushing with *provisional* ranks during parallel windows and
-// finalizing them to exact global ranks at each barrier — see
-// src/sim/README.md for the argument.
+// Events are totally ordered by OrderKey = (fire time, sequence): events
+// that fire at the same instant run in the order they were scheduled (FIFO
+// tie-break via a monotonically increasing sequence number), so simulations
+// are reproducible independent of heap internals.
 //
-// Layout: an indexed 4-ary min-heap of 32-byte POD entries over a slab of
-// slots holding the callables in small-buffer inline storage (InlineEvent —
-// no std::function, no per-event heap allocation).  Each slot carries a
-// generation counter and its current heap position: EventIds pack
-// (generation, slot), so a stale handle — the event already fired, was
-// cancelled, or the slot was reused — fails the generation check and
-// cancel() is a safe no-op, while a live handle cancels eagerly in O(log4 n)
-// via the back-pointer.  No tombstones accumulate and there is no hash-set
-// of live ids to maintain per push/pop.
+// Layout: an indexed 4-ary min-heap of 24-byte POD entries (time, sequence,
+// slot) over a slab of slots holding the callables in small-buffer inline
+// storage (InlineEvent — no std::function, no per-event heap allocation).
+// Each slot carries a generation counter and its current heap position:
+// EventIds pack (generation, slot), so a stale handle — the event already
+// fired, was cancelled, or the slot was reused — fails the generation check
+// and cancel() is a safe no-op, while a live handle cancels eagerly in
+// O(log4 n) via the back-pointer.  No tombstones accumulate and there is no
+// hash-set of live ids to maintain per push/pop.
 #pragma once
 
 #include <cassert>
@@ -40,81 +34,41 @@ using EventId = std::uint64_t;
 /// Never returned by `push`; the conventional "no event pending" sentinel.
 inline constexpr EventId kNoEvent = 0;
 
-/// Rank fields at or above this base are provisional: they encode the
-/// pushing event's local execution index on its shard (base + index) until
-/// the next engine barrier finalizes them to exact global ranks.  Real ranks
-/// stay far below the base, so a provisional key orders after every
-/// finalized key at the same instant — exactly where the serial order puts
-/// it, because the provisional push's pusher executed inside the current
-/// window and therefore outranks every already-finalized pusher.
-inline constexpr std::uint64_t kProvisionalRankBase = std::uint64_t{1} << 63;
-
 /// Total execution order of events, compared lexicographically:
-///   1. `at`   — fire time;
-///   2. `rank` — global execution rank of the pushing event (0 for pushes
-///      made before any event ran, i.e. during setup);
-///   3. `seq`  — push order within one rank (FIFO tie-break).
+///   1. `at`  — fire time;
+///   2. `seq` — push order (FIFO tie-break among events at one instant).
 struct OrderKey {
   TimeNs at = 0;
-  std::uint64_t rank = 0;
   std::uint64_t seq = 0;
 
   friend bool operator<(const OrderKey& a, const OrderKey& b) {
     if (a.at != b.at) return a.at < b.at;
-    if (a.rank != b.rank) return a.rank < b.rank;
     return a.seq < b.seq;
   }
-
-  /// The infimum of all keys with fire time `at`: every event firing
-  /// strictly before `at` orders below it, every event at `at` or later
-  /// orders at or above it.  Used as an exclusive window bound.
-  static OrderKey floor_of(TimeNs at) { return OrderKey{at, 0, 0}; }
 };
 
 class EventQueue {
  public:
-  /// Schedules `action` at absolute time `at` with an explicit order key.
-  /// Returns a handle that can be passed to `cancel` as long as the event
-  /// has not fired.
+  /// Schedules `action` at absolute time `at`.  Returns a handle that can be
+  /// passed to `cancel` as long as the event has not fired.
   template <typename F>
-  EventId push(TimeNs at, std::uint64_t rank, std::uint64_t seq, F&& action) {
+  EventId push(TimeNs at, F&& action) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
     s.action = InlineEvent(std::forward<F>(action));
     if (heap_.size() == heap_.capacity()) {
       ++substrate_stats().allocs_event_queue;
     }
-    heap_.push_back(Entry{at, rank, seq, slot});
+    heap_.push_back(Entry{OrderKey{at, next_seq_++}, slot});
     sift_up(heap_.size() - 1);
     ++substrate_stats().events_scheduled;
     return make_id(slot, s.generation);
   }
 
-  /// Schedules `action` at absolute time `at` with rank 0 and the queue's
-  /// own sequence counter — the historical (time, FIFO) order for direct
-  /// EventQueue users.
-  template <typename F>
-  EventId push(TimeNs at, F&& action) {
-    return push(at, /*rank=*/0, take_seq(), std::forward<F>(action));
-  }
-
-  /// Consumes the next sequence number.  The Simulator draws one per push;
-  /// cross-shard message posts draw one too, so a message carries the same
-  /// (rank, seq) the equivalent local push would have had.
-  std::uint64_t take_seq() { return next_seq_++; }
-
   /// Cancels a pending event.  Cancelling an already-fired (or already
   /// cancelled) event is a harmless no-op: the handle's generation no longer
   /// matches the slot's.
   void cancel(EventId id);
-
-  /// Mutable pointer to a pending event's rank field, or nullptr if the
-  /// handle is stale.  Used by the barrier finalization to rewrite
-  /// provisional ranks in place: the caller guarantees the rewrite preserves
-  /// the relative order of every pair of entries (global ranks are assigned
-  /// monotone in local push order), so the heap property is untouched and no
-  /// re-sift is needed.
-  std::uint64_t* rank_of(EventId id);
 
   /// True if no runnable event remains.
   bool empty() const { return heap_.empty(); }
@@ -125,20 +79,11 @@ class EventQueue {
   /// Time of the earliest runnable event.  Precondition: !empty().
   TimeNs next_time() const {
     assert(!heap_.empty());
-    return heap_.front().at;
-  }
-
-  /// Full order key of the earliest runnable event.  Precondition: !empty().
-  OrderKey next_key() const {
-    assert(!heap_.empty());
-    const Entry& e = heap_.front();
-    return OrderKey{e.at, e.rank, e.seq};
+    return heap_.front().key.at;
   }
 
   struct Fired {
     TimeNs at;
-    std::uint64_t rank;
-    std::uint64_t seq;
     InlineEvent action;
   };
 
@@ -147,9 +92,7 @@ class EventQueue {
 
  private:
   struct Entry {
-    TimeNs at;
-    std::uint64_t rank;  // pusher's global execution rank (or provisional)
-    std::uint64_t seq;   // push order within the rank; final tie-break
+    OrderKey key;
     std::uint32_t slot;  // index into slots_
   };
   struct Slot {
@@ -165,9 +108,7 @@ class EventQueue {
   // A functor type (not a function pointer) so the sift loops inline it.
   struct Before {
     bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at < b.at;
-      if (a.rank != b.rank) return a.rank < b.rank;
-      return a.seq < b.seq;
+      return a.key < b.key;
     }
   };
 

@@ -7,7 +7,6 @@ void Simulator::run() {
   while (!queue_.empty() && !stopped_) {
     EventQueue::Fired fired = queue_.pop();
     now_ = fired.at;
-    ++*rank_counter_;
     ++events_executed_;
     fired.action();
   }
@@ -18,54 +17,10 @@ void Simulator::run_until(TimeNs until) {
   while (!queue_.empty() && !stopped_ && queue_.next_time() <= until) {
     EventQueue::Fired fired = queue_.pop();
     now_ = fired.at;
-    ++*rank_counter_;
     ++events_executed_;
     fired.action();
   }
   if (!stopped_ && now_ < until) now_ = until;
-}
-
-void Simulator::run_to_key(const OrderKey& bound) {
-  while (!queue_.empty() && queue_.next_key() < bound) {
-    EventQueue::Fired fired = queue_.pop();
-    now_ = fired.at;
-    ++events_executed_;
-    if (deferred_ranks_) {
-      // The event's rank is assigned at the next barrier merge; until then
-      // its pushes carry a provisional rank encoding its local index.
-      window_log_.push_back(OrderKey{fired.at, fired.rank, fired.seq});
-      exec_rank_field_ = kProvisionalRankBase + local_exec_count_++;
-      in_shard_event_ = true;
-      fired.action();
-      in_shard_event_ = false;
-    } else {
-      ++*rank_counter_;
-      fired.action();
-    }
-  }
-}
-
-void Simulator::run_one() {
-  EventQueue::Fired fired = queue_.pop();
-  now_ = fired.at;
-  ++*rank_counter_;
-  ++events_executed_;
-  fired.action();
-}
-
-void Simulator::finalize_window(std::vector<std::uint64_t>&& ranks) {
-  assert(ranks.size() == window_log_.size());
-  last_ranks_.swap(ranks);  // the old buffer goes back to the caller's slot
-  last_base_ = log_base_;
-  for (const EventId id : provisional_) {
-    std::uint64_t* rank = queue_.rank_of(id);
-    if (rank != nullptr && *rank >= kProvisionalRankBase) {
-      *rank = resolve_rank(*rank);
-    }
-  }
-  provisional_.clear();
-  window_log_.clear();
-  log_base_ = local_exec_count_;
 }
 
 }  // namespace numfabric::sim

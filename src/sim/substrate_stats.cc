@@ -28,30 +28,6 @@ SubstrateStats SubstrateStats::operator-(const SubstrateStats& rhs) const {
   return out;
 }
 
-SubstrateStats& SubstrateStats::operator+=(const SubstrateStats& rhs) {
-  events_scheduled += rhs.events_scheduled;
-  events_fired += rhs.events_fired;
-  events_cancelled += rhs.events_cancelled;
-  packets_forwarded += rhs.packets_forwarded;
-  bytes_forwarded += rhs.bytes_forwarded;
-  packets_dropped += rhs.packets_dropped;
-  control_ticks += rhs.control_ticks;
-  links_swept += rhs.links_swept;
-  allocs_callable_spill += rhs.allocs_callable_spill;
-  allocs_event_queue += rhs.allocs_event_queue;
-  allocs_packet_pool += rhs.allocs_packet_pool;
-  allocs_flow_table += rhs.allocs_flow_table;
-  allocs_queue += rhs.allocs_queue;
-  solver_solves += rhs.solver_solves;
-  solver_sweeps += rhs.solver_sweeps;
-  solver_relaxations += rhs.solver_relaxations;
-  solver_wall_ns += rhs.solver_wall_ns;
-  allocs_solver_workspace += rhs.allocs_solver_workspace;
-  flowsim_epochs += rhs.flowsim_epochs;
-  flowsim_resolves += rhs.flowsim_resolves;
-  return *this;
-}
-
 SubstrateStats& substrate_stats() {
   thread_local SubstrateStats stats;
   return stats;

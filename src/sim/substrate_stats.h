@@ -75,10 +75,6 @@ struct SubstrateStats {
 
   /// Per-field subtraction (for snapshot/delta reporting).
   SubstrateStats operator-(const SubstrateStats& rhs) const;
-
-  /// Per-field accumulation (the sharded engine folds worker-thread deltas
-  /// into the coordinator's thread-local counters).
-  SubstrateStats& operator+=(const SubstrateStats& rhs);
 };
 
 /// This thread's counters.  Components increment them directly; reporting

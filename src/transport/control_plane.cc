@@ -102,48 +102,28 @@ void ControlPlane::attach_links(net::Topology& topo) {
     links_[i]->attach_control(mode, &arrays_, static_cast<std::uint32_t>(i));
   }
 
-  if (params_.threads > 1 && n > 1) {
-    pool_ = std::make_unique<util::WorkerPool>(params_.threads);
-  }
-
   tick_.arm(sim_, interval_for(params_), [this] { sweep(); });
 }
 
 void ControlPlane::sweep() {
-  const std::size_t n = links_.size();
-  if (pool_ == nullptr) {
-    sweep_range(0, n);
-  } else {
-    // Each slot's update reads and writes only that slot's state, so a
-    // chunked parallel sweep is bit-identical to the serial slot-order one.
-    const auto chunks =
-        std::min(static_cast<std::size_t>(pool_->jobs()), n);
-    pool_->parallel_for(static_cast<int>(chunks), [&](int chunk) {
-      const auto c = static_cast<std::size_t>(chunk);
-      sweep_range(n * c / chunks, n * (c + 1) / chunks);
-    });
-  }
-  links_swept_ += n;
-  auto& stats = sim::substrate_stats();
-  ++stats.control_ticks;
-  stats.links_swept += n;
-}
-
-void ControlPlane::sweep_range(std::size_t begin, std::size_t end) {
   switch (params_.scheme) {
     case Scheme::kNumFabric:
-      sweep_xwi(begin, end);
+      sweep_xwi();
       break;
     case Scheme::kDgd:
-      sweep_dgd(begin, end);
+      sweep_dgd();
       break;
     case Scheme::kRcpStar:
-      sweep_rcp(begin, end);
+      sweep_rcp();
       break;
     case Scheme::kDctcp:
     case Scheme::kPFabric:
       break;
   }
+  links_swept_ += links_.size();
+  auto& stats = sim::substrate_stats();
+  ++stats.control_ticks;
+  stats.links_swept += links_.size();
 }
 
 // Fig. 3's per-interval price update, link-for-link identical to
@@ -151,10 +131,10 @@ void ControlPlane::sweep_range(std::size_t begin, std::size_t end) {
 // counting alone undercounts by up to a packet per interval), a quiet
 // interval contributes min_res = 0 so only the under-utilization term acts,
 // and the new price is beta-averaged with the old.
-void ControlPlane::sweep_xwi(std::size_t begin, std::size_t end) {
+void ControlPlane::sweep_xwi() {
   const double eta = params_.numfabric.eta;
   const double beta = params_.numfabric.beta;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
     const net::Link* link = links_[i];
     const double utilization =
         link->queue().empty()
@@ -175,10 +155,10 @@ void ControlPlane::sweep_xwi(std::size_t begin, std::size_t end) {
 }
 
 // Eq. 14, identical to DgdLinkAgent::on_update.
-void ControlPlane::sweep_dgd(std::size_t begin, std::size_t end) {
+void ControlPlane::sweep_dgd() {
   const double a = params_.dgd.a;
   const double b = params_.dgd.b;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
     const net::Link* link = links_[i];
     const double y_mbps = num::to_rate_units(
         static_cast<double>(bytes_serviced_[i]) * 8.0 / interval_seconds_);
@@ -194,10 +174,10 @@ void ControlPlane::sweep_dgd(std::size_t begin, std::size_t end) {
 // Eq. 15, identical to RcpLinkAgent::on_update — plus the batching dividend:
 // the per-packet stamp R^-alpha is one std::pow per link per tick here,
 // where the legacy agent paid it on every data dequeue.
-void ControlPlane::sweep_rcp(std::size_t begin, std::size_t end) {
+void ControlPlane::sweep_rcp() {
   const double t = interval_seconds_;
   const double alpha = params_.rcp.alpha;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
     const net::Link* link = links_[i];
     const double capacity = link->rate_bps();
     const double y = static_cast<double>(bytes_serviced_[i]) * 8.0 / t;

@@ -60,7 +60,7 @@ void Fabric::attach_agents(net::Topology& topo) {
     control_plane_ = ControlPlane::attach(
         sim_,
         ControlPlane::Params{options_.scheme, options_.numfabric, options_.dgd,
-                             options_.rcp, options_.control_threads},
+                             options_.rcp},
         topo);
     return;
   }
@@ -89,49 +89,26 @@ void Fabric::attach_agents(net::Topology& topo) {
   }
 }
 
-std::unique_ptr<SenderBase> Fabric::make_sender(sim::Simulator& sim,
-                                                const FlowSpec& spec,
+std::unique_ptr<SenderBase> Fabric::make_sender(const FlowSpec& spec,
                                                 SenderCallbacks callbacks) {
   switch (options_.scheme) {
     case Scheme::kNumFabric:
-      return std::make_unique<SwiftSender>(sim, spec, std::move(callbacks),
+      return std::make_unique<SwiftSender>(sim_, spec, std::move(callbacks),
                                            options_.numfabric, &groups_);
     case Scheme::kDgd:
-      return std::make_unique<DgdSender>(sim, spec, std::move(callbacks),
+      return std::make_unique<DgdSender>(sim_, spec, std::move(callbacks),
                                          options_.dgd);
     case Scheme::kRcpStar:
-      return std::make_unique<RcpSender>(sim, spec, std::move(callbacks),
+      return std::make_unique<RcpSender>(sim_, spec, std::move(callbacks),
                                          options_.rcp);
     case Scheme::kDctcp:
-      return std::make_unique<DctcpSender>(sim, spec, std::move(callbacks),
+      return std::make_unique<DctcpSender>(sim_, spec, std::move(callbacks),
                                            options_.dctcp);
     case Scheme::kPFabric:
-      return std::make_unique<PFabricSender>(sim, spec, std::move(callbacks),
+      return std::make_unique<PFabricSender>(sim_, spec, std::move(callbacks),
                                              options_.pfabric);
   }
   throw std::logic_error("Fabric::make_sender: unknown scheme");
-}
-
-void Fabric::set_sharding(const net::ShardPlan* plan,
-                          sim::ShardedSimulator* engine) {
-  if (options_.legacy_link_agents) {
-    throw std::logic_error(
-        "Fabric::set_sharding: legacy_link_agents is not shardable");
-  }
-  shard_plan_ = plan;
-  engine_ = engine;
-  engine->add_barrier_hook([this] {
-    std::lock_guard<std::mutex> lock(pending_unregister_mu_);
-    for (const auto& [host, id] : pending_unregister_) {
-      host->unregister_flow(id);
-    }
-    pending_unregister_.clear();
-  });
-}
-
-sim::Simulator& Fabric::endpoint_sim(const net::Host* host) {
-  if (engine_ == nullptr) return sim_;
-  return engine_->shard(shard_plan_->shard_of(host));
 }
 
 Flow* Fabric::add_flow(FlowSpec spec) {
@@ -165,30 +142,19 @@ Flow* Fabric::add_flow(FlowSpec spec) {
 
 void Fabric::start_flow(Flow& flow) {
   const FlowSpec& spec = flow.spec();
-  const bool cross_shard =
-      engine_ != nullptr &&
-      shard_plan_->shard_of(spec.src) != shard_plan_->shard_of(spec.dst);
   SenderCallbacks callbacks;
-  callbacks.on_complete = [this, &flow, cross_shard](net::FlowId id,
-                                                     sim::TimeNs at) {
+  callbacks.on_complete = [this, &flow](net::FlowId id, sim::TimeNs at) {
     flow.mark_completed(at);
     // Late duplicate ACKs become countable strays rather than dangling
-    // handler calls.  Completion fires on the source shard; a cross-shard
-    // destination is unregistered at the next barrier instead of touching
-    // another shard's host table mid-window.
+    // handler calls.
     flow.spec().src->unregister_flow(id);
-    if (cross_shard) {
-      std::lock_guard<std::mutex> lock(pending_unregister_mu_);
-      pending_unregister_.emplace_back(flow.spec().dst, id);
-    } else {
-      flow.spec().dst->unregister_flow(id);
-    }
+    flow.spec().dst->unregister_flow(id);
     if (on_complete_) on_complete_(flow);
   };
 
-  auto receiver = std::make_unique<Receiver>(endpoint_sim(spec.dst), spec,
-                                             options_.receiver_rate_tau);
-  auto sender = make_sender(endpoint_sim(spec.src), spec, std::move(callbacks));
+  auto receiver =
+      std::make_unique<Receiver>(sim_, spec, options_.receiver_rate_tau);
+  auto sender = make_sender(spec, std::move(callbacks));
 
   spec.dst->register_flow(spec.id, [receiver_ptr = receiver.get()](net::Packet&& p) {
     receiver_ptr->handle_packet(std::move(p));

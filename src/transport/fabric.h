@@ -16,14 +16,11 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "net/shard_plan.h"
 #include "net/topology.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "transport/control_plane.h"
 #include "transport/dctcp/dctcp_sender.h"
@@ -51,9 +48,6 @@ struct FabricOptions {
   /// NUMFabric only: > 0 replaces exact STFQ with the §8 multi-queue
   /// approximation using this many weight bands (ablation).
   int discrete_wfq_bands = 0;
-  /// >1 runs the batched control plane's per-link sweep on this many worker
-  /// threads (chunked by slot; bit-identical for any value).
-  int control_threads = 1;
   /// Test-only escape hatch: attach the legacy per-link agent objects (one
   /// timer event per link per interval, virtual hooks) instead of the
   /// batched ControlPlane.  The parity test runs both wirings over the same
@@ -115,19 +109,9 @@ class Fabric {
   const FabricOptions& options() const { return options_; }
   sim::Simulator& sim() { return sim_; }
 
-  /// Sharded mode: flow endpoints are constructed on their host's shard
-  /// simulator (per `plan`) instead of the global one, and the cross-shard
-  /// half of completion bookkeeping is deferred to `engine`'s next barrier.
-  /// Call once, after attach_agents and before any flow starts.  `plan` and
-  /// `engine` must outlive the fabric.  Throws std::logic_error in
-  /// legacy_link_agents mode (per-link timer agents are not shardable).
-  void set_sharding(const net::ShardPlan* plan, sim::ShardedSimulator* engine);
-
  private:
   void start_flow(Flow& flow);
-  sim::Simulator& endpoint_sim(const net::Host* host);
-  std::unique_ptr<SenderBase> make_sender(sim::Simulator& sim,
-                                          const FlowSpec& spec,
+  std::unique_ptr<SenderBase> make_sender(const FlowSpec& spec,
                                           SenderCallbacks callbacks);
 
   sim::Simulator& sim_;
@@ -138,14 +122,6 @@ class Fabric {
   GroupRegistry groups_;
   std::function<void(Flow&)> on_complete_;
   net::FlowId next_flow_id_ = 1;
-  // Sharded-mode wiring (null in serial runs).
-  const net::ShardPlan* shard_plan_ = nullptr;
-  sim::ShardedSimulator* engine_ = nullptr;
-  // Completion runs on the source host's shard; unregistering the flow on
-  // the destination host would mutate another shard's state, so it is
-  // queued here and drained by a barrier hook on the coordinator.
-  std::mutex pending_unregister_mu_;
-  std::vector<std::pair<net::Host*, net::FlowId>> pending_unregister_;
 };
 
 }  // namespace numfabric::transport

@@ -1,8 +1,7 @@
 // A fixed-size thread pool with one operation: run fn(0..count-1) across the
 // workers and block until every call returns.  Built for the sweep engine
 // (tasks are coarse — one simulator run each) and reused by the NUM solver's
-// parallel execution policy and the control plane's parallel link sweep
-// (tasks are pre-chunked so the single claim cursor stays cheap).
+// parallel execution policy.
 //
 // Tasks must not throw: each sweep run catches its own exceptions and folds
 // them into its status row.  A throw escaping fn terminates the process

@@ -106,61 +106,6 @@ struct ParityRig {
   }
 };
 
-// Params::threads parity: the chunked parallel sweep must be bit-identical
-// to the serial slot-order sweep — per-slot updates touch only their own
-// slot's state, so chunking changes wall time, never prices.  Two identical
-// multi-link worlds, one swept serially and one on 4 threads, driven with
-// the same packet sequences.
-TEST(ControlPlaneParityTest, ThreadedSweepMatchesSerialBitwise) {
-  struct World {
-    sim::Simulator sim;
-    net::Topology topo{sim};
-    std::vector<net::Link*> links;
-    std::unique_ptr<ControlPlane> plane;
-
-    explicit World(int threads) {
-      net::Host* a = topo.add_host("a");
-      net::Host* b = topo.add_host("b");
-      net::Host* c = topo.add_host("c");
-      net::Host* d = topo.add_host("d");
-      for (auto [src, dst] : {std::pair{a, b}, {b, c}, {c, d}}) {
-        topo.connect(src, dst, 10e9, sim::micros(1), [] {
-          return std::make_unique<net::DropTailQueue>(1'000'000);
-        });
-      }
-      for (const auto& link : topo.links()) links.push_back(link.get());
-      ControlPlane::Params params;
-      params.scheme = Scheme::kNumFabric;
-      params.threads = threads;
-      plane = ControlPlane::attach(sim, params, topo);
-    }
-  };
-  World serial(1), threaded(4);
-
-  const double residuals[] = {0.5, -0.3, 0.1, 0.02, 0.4};
-  for (int i = 0; i < 5; ++i) {
-    const sim::TimeNs at = sim::micros(3 + 7 * i);
-    const std::size_t link = static_cast<std::size_t>(i) % 3;
-    const double r = residuals[i];
-    serial.sim.schedule_at(at, [&serial, link, r] {
-      serial.links[link]->send(data_packet(r));
-    });
-    threaded.sim.schedule_at(at, [&threaded, link, r] {
-      threaded.links[link]->send(data_packet(r));
-    });
-  }
-
-  for (int update = 1; update <= 5; ++update) {
-    serial.sim.run_until(sim::micros(30 * update));
-    threaded.sim.run_until(sim::micros(30 * update));
-    for (std::size_t l = 0; l < 3; ++l) {
-      EXPECT_EQ(serial.plane->price(l), threaded.plane->price(l))
-          << "link " << l << " price diverged at update " << update;
-    }
-  }
-  EXPECT_EQ(serial.plane->ticks(), threaded.plane->ticks());
-}
-
 TEST(ControlPlaneParityTest, XwiPriceMatchesLegacyAcrossUpdates) {
   ControlPlane::Params params;
   params.scheme = Scheme::kNumFabric;
@@ -190,6 +135,87 @@ TEST(ControlPlaneParityTest, XwiPriceMatchesLegacyAcrossUpdates) {
   }
   EXPECT_EQ(rig.plane->ticks(), 5u);
   EXPECT_EQ(legacy->updates(), 5u);
+}
+
+// One sweep over several links: each slot's price must follow only its own
+// link's traffic, exactly as an independent legacy agent per link would.
+// Three chained cables (six links: forward + reverse) get different packet
+// sequences on their forward links, so any state shared or misindexed
+// across slots shows up as a price mismatch.
+TEST(ControlPlaneParityTest, MultiLinkSweepMatchesLegacyAgentPerLink) {
+  ControlPlane::Params params;
+  params.scheme = Scheme::kNumFabric;
+  const auto& cfg = params.numfabric;
+
+  struct World {
+    sim::Simulator sim;
+    net::Topology topo{sim};
+    std::vector<net::Link*> links;
+
+    World() {
+      net::Host* a = topo.add_host("a");
+      net::Host* b = topo.add_host("b");
+      net::Host* c = topo.add_host("c");
+      net::Host* d = topo.add_host("d");
+      for (auto [src, dst] : {std::pair{a, b}, {b, c}, {c, d}}) {
+        topo.connect(src, dst, 10e9, sim::micros(1), [] {
+          return std::make_unique<net::DropTailQueue>(1'000'000);
+        });
+      }
+      for (const auto& link : topo.links()) links.push_back(link.get());
+    }
+  };
+  World batched, legacy;
+  const std::unique_ptr<ControlPlane> plane =
+      ControlPlane::attach(batched.sim, params, batched.topo);
+  std::vector<const XwiLinkAgent*> agents;
+  for (net::Link* link : legacy.links) {
+    auto agent = std::make_unique<XwiLinkAgent>(
+        legacy.sim, *link,
+        XwiLinkAgent::Params{cfg.price_update_interval, cfg.eta, cfg.beta,
+                             cfg.initial_price});
+    agents.push_back(agent.get());
+    link->set_agent(std::move(agent));
+  }
+
+  // Cable 0 carries traffic every interval, cable 1 only early, cable 2
+  // late.  Topology::connect appends forward then reverse, so cable k's
+  // forward link is links[2k].
+  const struct {
+    std::int64_t at_us;
+    std::size_t cable;
+    double residual;
+    std::uint32_t size;
+  } sends[] = {{3, 0, 0.5, 1500},    {5, 1, -0.3, 1500}, {12, 0, 0.1, 9000},
+               {33, 0, 0.02, 1500},  {40, 1, 0.4, 1500}, {64, 0, 0.3, 1500},
+               {70, 2, 0.05, 60'000}, {95, 0, -0.1, 1500}, {101, 2, 0.2, 1500}};
+  for (const auto& send : sends) {
+    const sim::TimeNs at = sim::micros(send.at_us);
+    for (World* world : {&batched, &legacy}) {
+      world->sim.schedule_at(at, [world, send] {
+        world->links[2 * send.cable]->send(
+            data_packet(send.residual, send.size));
+      });
+    }
+  }
+
+  for (int update = 1; update <= 5; ++update) {
+    batched.sim.run_until(sim::micros(30 * update));
+    legacy.sim.run_until(sim::micros(30 * update));
+    for (std::size_t l = 0; l < batched.links.size(); ++l) {
+      EXPECT_EQ(plane->price(batched.links[l]->control_slot()),
+                agents[l]->price())
+          << "link " << l << " price diverged at update " << update;
+    }
+  }
+  EXPECT_EQ(plane->ticks(), 5u);
+  ASSERT_EQ(batched.links.size(), 6u);
+  EXPECT_EQ(plane->links_swept(), 5u * 6u);
+  // The three forward links saw different traffic, so the check above
+  // compared distinct prices rather than one value several times.
+  EXPECT_NE(agents[0]->price(), agents[2]->price());
+  EXPECT_NE(agents[2]->price(), agents[4]->price());
+  EXPECT_NE(agents[0]->price(), agents[4]->price());
 }
 
 TEST(ControlPlaneParityTest, XwiBacklogCountsAsFullUtilization) {

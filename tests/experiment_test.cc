@@ -171,6 +171,29 @@ TEST(TrafficExperimentTest, IncastFctModeCompletesBurst) {
   }
 }
 
+// Each experiment owns its simulator, fabric and flows outright: running the
+// same options twice in one process must give bit-identical results, so no
+// state leaks from one run into the next.
+TEST(TrafficExperimentTest, RerunWithSameOptionsIsBitIdentical) {
+  TrafficOptions options;
+  options.topology.hosts_per_leaf = 2;
+  options.topology.num_leaves = 2;
+  options.topology.num_spines = 2;
+  options.pattern = TrafficPattern::kAllToAll;
+  options.flow_size_bytes = 20'000;
+  options.horizon = sim::millis(100);
+  const TrafficResult first = run_traffic_experiment(options);
+  const TrafficResult second = run_traffic_experiment(options);
+  EXPECT_EQ(first.flow_count, 12);
+  EXPECT_EQ(first.completed, first.flow_count);
+  EXPECT_GT(first.sim_events, 0u);
+  EXPECT_EQ(second.flow_count, first.flow_count);
+  EXPECT_EQ(second.completed, first.completed);
+  EXPECT_EQ(second.fct_us, first.fct_us);
+  EXPECT_EQ(second.sim_events, first.sim_events);
+  EXPECT_EQ(second.queue_drops, first.queue_drops);
+}
+
 TEST(BwFuncSweepTest, SinglePointMatchesExpectation) {
   BwFuncSweepOptions options;
   options.capacities_gbps = {25};

@@ -1,7 +1,6 @@
 // FabricGraph model: builder validation, link numbering, materialize
-// correspondence, the jellyfish builder's determinism/regularity, the shard
-// planner's structural obstacle detection, and the experiment layer's loud
-// --shards rejection on non-shardable fabrics.
+// correspondence, the jellyfish builder's determinism/regularity, and a
+// packet traffic experiment end to end on a jellyfish.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 
 #include "exp/traffic_experiment.h"
 #include "net/fabric_graph.h"
-#include "net/shard_plan.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 
@@ -215,73 +213,15 @@ TEST(JellyfishTest, RejectsInfeasibleParameters) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard planner: structural obstacle detection.
+// Experiment layer: a non-Clos fabric runs on the packet engine.
 // ---------------------------------------------------------------------------
 
-TEST(ShardObstacleTest, LeafSpineIsShardableJellyfishIsNot) {
-  EXPECT_EQ(shard_partition_obstacle(make_leaf_spine(
-                {.hosts_per_leaf = 2, .num_leaves = 2, .num_spines = 2})),
-            "");
-
-  const std::string obstacle = shard_partition_obstacle(
-      make_jellyfish({.switches = 6, .ports = 3, .hosts = 6, .seed = 1}));
-  EXPECT_NE(obstacle, "");
-  // The explanation names the structural problem and the remedy.
-  EXPECT_NE(obstacle.find("tier"), std::string::npos) << obstacle;
-  EXPECT_NE(obstacle.find("--shards=1"), std::string::npos) << obstacle;
-}
-
-TEST(ShardObstacleTest, BuildShardPlanThrowsTheObstacle) {
-  const FabricGraph graph =
-      make_jellyfish({.switches = 6, .ports = 3, .hosts = 6, .seed = 1});
-  sim::Simulator sim;
-  Topology topo(sim);
-  const MaterializedFabric mat = topo.materialize(graph, drop_tail_factory());
-  EXPECT_THROW(build_shard_plan(graph, mat, 2), std::invalid_argument);
-}
-
-TEST(ShardObstacleTest, PlanLookaheadIsMinimumCoreDelay) {
-  const LeafSpineOptions options{.hosts_per_leaf = 2,
-                                 .num_leaves = 4,
-                                 .num_spines = 2,
-                                 .link_delay = sim::micros(2),
-                                 .core_link_delay = sim::micros(5)};
-  const FabricGraph graph = make_leaf_spine(options);
-  sim::Simulator sim;
-  Topology topo(sim);
-  const MaterializedFabric mat = topo.materialize(graph, drop_tail_factory());
-  const ShardPlan plan = build_shard_plan(graph, mat, 2);
-  EXPECT_EQ(plan.shards, 2);
-  EXPECT_EQ(plan.lookahead, sim::micros(5));
-  // Leaf-major blocks: leaves 0,1 -> shard 0; leaves 2,3 -> shard 1.
-  EXPECT_EQ(plan.shard_of(mat.switches[0]), 0);
-  EXPECT_EQ(plan.shard_of(mat.switches[3]), 1);
-  EXPECT_THROW(build_shard_plan(graph, mat, 5), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Experiment layer: --shards on a non-shardable fabric fails loudly.
-// ---------------------------------------------------------------------------
-
-TEST(ShardObstacleTest, TrafficExperimentRejectsShardsOnJellyfish) {
+TEST(JellyfishTrafficTest, PermutationCompletesEveryFlow) {
   exp::TrafficOptions options;
   options.jellyfish =
       JellyfishOptions{.switches = 6, .ports = 3, .hosts = 6, .seed = 1};
   options.pattern = exp::TrafficPattern::kPermutation;
   options.flow_size_bytes = 10'000;
-  options.shards = 2;
-  try {
-    exp::run_traffic_experiment(options);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("--shards=2"), std::string::npos) << what;
-    EXPECT_NE(what.find("not available"), std::string::npos) << what;
-    EXPECT_NE(what.find("--shards=1"), std::string::npos) << what;
-  }
-
-  // shards=1 (serial) runs fine on the same fabric.
-  options.shards = 1;
   const exp::TrafficResult result = exp::run_traffic_experiment(options);
   EXPECT_EQ(result.completed, result.flow_count);
 }

@@ -160,6 +160,31 @@ TEST(FabricTest, CompletionCallbackAndUnregistration) {
   EXPECT_GT(flow->fct(), 0);
 }
 
+// Completion unregisters the flow at both endpoints before the user
+// callback runs: a late packet for the id is a countable stray, and the id
+// can be registered again straight away.
+TEST(FabricTest, CompletionUnregistersBothEndpointsImmediately) {
+  FlowRig rig;
+  int completions = 0;
+  rig.fabric->set_on_complete([&](Flow& flow) {
+    ++completions;
+    const net::FlowId id = flow.spec().id;
+    for (net::Host* host : {rig.a, rig.b}) {
+      const std::uint64_t strays = host->stray_packets();
+      net::Packet late;
+      late.flow = id;
+      late.type = net::PacketType::kAck;
+      host->receive(std::move(late));
+      EXPECT_EQ(host->stray_packets(), strays + 1);
+      EXPECT_NO_THROW(host->register_flow(id, [](net::Packet&&) {}));
+      host->unregister_flow(id);
+    }
+  });
+  rig.fabric->add_flow(rig.spec(50'000));
+  rig.sim.run_until(sim::millis(10));
+  EXPECT_EQ(completions, 1);
+}
+
 TEST(FabricTest, SwiftSenderRequiresUtility) {
   FlowRig rig;
   FlowSpec spec = rig.spec();

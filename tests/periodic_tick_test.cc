@@ -138,8 +138,8 @@ TEST(PeriodicTickTest, InCallbackReArmKeepsTheExecutingCallableAlive) {
 }
 
 TEST(PeriodicTickTest, GridSurvivesRepeatedRunUntilBoundaries) {
-  // run_until sets the clock to `until` between ticks (the sharded engine
-  // and every experiment loop pause this way); the grid must not drift no
+  // run_until sets the clock to `until` between ticks (every experiment
+  // loop pauses this way); the grid must not drift no
   // matter where the pauses land — on-grid, off-grid, or mid-interval.
   Simulator sim;
   PeriodicTick tick;

@@ -289,5 +289,12 @@ TEST(DriverTest, RejectsUnknownScenarioAndBadFormat) {
   EXPECT_EQ(run_cli(std::vector<std::string>{}), 2);  // missing --scenario
 }
 
+// There is no sharded engine and no threaded control-plane sweep: --shards
+// and --control-threads are undeclared keys and must fail loudly.
+TEST(DriverTest, RejectsDeletedParallelFlags) {
+  EXPECT_EQ(run_cli({"--scenario=incast", "--shards=2"}), 2);
+  EXPECT_EQ(run_cli({"--scenario=incast", "--control-threads=4"}), 2);
+}
+
 }  // namespace
 }  // namespace numfabric::app

@@ -200,6 +200,37 @@ TEST(EventQueueTest, RandomizedStressMatchesNaiveReference) {
   EXPECT_EQ(fired, expected);
 }
 
+// Cancelling events out of a same-time group leaves the survivors in push
+// order: the FIFO key is fixed at push time, not recomputed on removal.
+TEST(EventQueueTest, CancellingATieKeepsTheRestInPushOrder) {
+  EventQueue queue;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(queue.push(42, [&order, i] { order.push_back(i); }));
+  }
+  queue.cancel(ids[0]);
+  queue.cancel(ids[3]);
+  queue.cancel(ids[7]);
+  while (!queue.empty()) queue.pop().action();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5, 6}));
+}
+
+// The push sequence is never reset by pops: an event pushed at time t after
+// some t events already fired still queues behind every t event left.
+TEST(EventQueueTest, PushAfterPopQueuesBehindSameTimeSurvivors) {
+  EventQueue queue;
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    queue.push(7, [&order, i] { order.push_back(i); });
+  }
+  queue.pop().action();
+  queue.push(7, [&order] { order.push_back(10); });
+  queue.push(6, [&order] { order.push_back(-1); });
+  while (!queue.empty()) queue.pop().action();
+  EXPECT_EQ(order, (std::vector<int>{0, -1, 1, 2, 10}));
+}
+
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator sim;
   TimeNs seen = -1;
@@ -232,6 +263,35 @@ TEST(SimulatorTest, NestedSchedulingDuringRun) {
   EXPECT_EQ(times, (std::vector<TimeNs>{10, 15}));
 }
 
+// The (time, FIFO) contract at one instant: a zero-delay push made while t
+// is executing fires after every t event already queued — including one
+// queued mid-run by an earlier event — and zero-delay pushes fire in push
+// order, nested ones last.
+TEST(SimulatorTest, ZeroDelayPushesFireAfterQueuedSameTimeEvents) {
+  Simulator sim;
+  std::vector<char> order;
+  const auto log = [&order](char tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  sim.schedule_at(5, [&] { sim.schedule_at(10, log('E')); });
+  sim.schedule_at(10, log('A'));
+  sim.schedule_at(10, [&] {
+    order.push_back('B');
+    sim.schedule_in(0, [&] {
+      order.push_back('X');
+      sim.schedule_in(0, log('Z'));
+    });
+    sim.schedule_in(0, log('Y'));
+  });
+  sim.schedule_at(10, log('C'));
+  sim.schedule_at(10, log('D'));
+  sim.schedule_at(11, log('L'));
+  sim.run();
+  EXPECT_EQ(order,
+            (std::vector<char>{'A', 'B', 'C', 'D', 'E', 'X', 'Y', 'Z', 'L'}));
+  EXPECT_EQ(sim.events_executed(), 10u);
+}
+
 TEST(SimulatorTest, StopAbortsRun) {
   Simulator sim;
   int fired = 0;
@@ -260,6 +320,72 @@ TEST(SimulatorTest, CancelTimer) {
   sim.schedule_in(5, [&] { sim.cancel(id); });
   sim.run();
   EXPECT_FALSE(ran);
+}
+
+// run_until's boundary is inclusive: an event at exactly `until` fires, and
+// so does a zero-delay event it schedules; one nanosecond later waits.
+TEST(SimulatorTest, RunUntilIncludesEventsAtTheBoundary) {
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule_at(100, [&] {
+    order.push_back('A');
+    sim.schedule_in(0, [&] { order.push_back('B'); });
+  });
+  sim.schedule_at(101, [&] { order.push_back('C'); });
+  sim.run_until(100);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_TRUE(sim.pending());
+  sim.run_until(101);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C'}));
+}
+
+// With nothing queued, run_until still moves the clock to the boundary, and
+// later relative schedules count from there.
+TEST(SimulatorTest, RunUntilOnAnIdleQueueStillAdvancesTheClock) {
+  Simulator sim;
+  sim.run_until(100);
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_FALSE(sim.pending());
+  TimeNs seen = -1;
+  sim.schedule_in(5, [&] { seen = sim.now(); });
+  sim.run_until(50);  // never rewinds
+  EXPECT_EQ(sim.now(), 100);
+  sim.run_until(200);
+  EXPECT_EQ(seen, 105);
+  EXPECT_EQ(sim.now(), 200);
+}
+
+// stop() inside run_until leaves the clock at the stopping event rather
+// than the boundary; the next leg resumes with the events still pending.
+TEST(SimulatorTest, StopInsideRunUntilLeavesTheClockAtTheStoppingEvent) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(30, [&] {
+    ++fired;
+    sim.stop();
+  });
+  sim.schedule_at(40, [&] { ++fired; });
+  sim.run_until(100);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 30);
+  EXPECT_TRUE(sim.pending());
+  sim.run_until(100);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.now(), 100);
+}
+
+TEST(SimulatorTest, EventsExecutedCountsFiredEventsOnly) {
+  Simulator sim;
+  const EventId cancelled = sim.schedule_at(20, [] {});
+  sim.schedule_at(10, [&] { sim.cancel(cancelled); });
+  sim.schedule_at(30, [&] { sim.schedule_in(1, [] {}); });
+  sim.schedule_at(50, [] {});
+  sim.run_until(40);
+  EXPECT_EQ(sim.events_executed(), 3u);  // t=10, 30, 31
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 4u);
+  EXPECT_FALSE(sim.pending());
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

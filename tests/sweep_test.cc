@@ -10,13 +10,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "app/driver.h"
 #include "app/metrics.h"
 #include "app/run_plan.h"
 #include "app/sweep.h"
-#include "app/worker_pool.h"
+#include "util/worker_pool.h"
 
 namespace numfabric::app {
 namespace {
@@ -110,7 +111,7 @@ TEST(RunPlanTest, SingleSpecAndRejectsDuplicates) {
 
 TEST(WorkerPoolTest, RunsEveryTaskExactlyOnce) {
   for (const int jobs : {1, 2, 8}) {
-    WorkerPool pool(jobs);
+    util::WorkerPool pool(jobs);
     std::vector<std::atomic<int>> hits(100);
     pool.parallel_for(100, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
     for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1) << "jobs=" << jobs;
@@ -118,7 +119,7 @@ TEST(WorkerPoolTest, RunsEveryTaskExactlyOnce) {
 }
 
 TEST(WorkerPoolTest, ReusableAcrossBatchesAndMoreJobsThanTasks) {
-  WorkerPool pool(8);
+  util::WorkerPool pool(8);
   for (int batch = 0; batch < 3; ++batch) {
     std::atomic<int> sum{0};
     pool.parallel_for(3, [&](int i) { sum += i + 1; });
@@ -127,9 +128,25 @@ TEST(WorkerPoolTest, ReusableAcrossBatchesAndMoreJobsThanTasks) {
   pool.parallel_for(0, [](int) { FAIL() << "no tasks expected"; });
 }
 
+// jobs == 1 spawns no workers: tasks run in index order on the calling
+// thread, so a --jobs=1 sweep is a plain serial loop.
+TEST(WorkerPoolTest, SingleJobRunsTasksInOrderOnTheCallingThread) {
+  util::WorkerPool pool(1);
+  EXPECT_EQ(pool.jobs(), 1);
+  std::vector<int> order;
+  std::set<std::thread::id> threads;
+  pool.parallel_for(5, [&](int i) {
+    order.push_back(i);
+    threads.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_EQ(util::WorkerPool(0).jobs(), 1);  // clamped, never zero workers
+}
+
 TEST(WorkerPoolTest, ResolveJobs) {
-  EXPECT_EQ(WorkerPool::resolve_jobs(3), 3);
-  EXPECT_GE(WorkerPool::resolve_jobs(0), 1);  // auto = hardware concurrency
+  EXPECT_EQ(util::WorkerPool::resolve_jobs(3), 3);
+  EXPECT_GE(util::WorkerPool::resolve_jobs(0), 1);  // 0 = all cores
 }
 
 // --- sweep engine ----------------------------------------------------------
