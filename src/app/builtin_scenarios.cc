@@ -672,12 +672,21 @@ void emit_fct_table(RunContext& ctx, int completed, int incomplete,
                               : fct_us.back()});
 }
 
+/// A flow-fidelity run's solver health, emitted only when some re-solve did
+/// not converge, so healthy runs keep their output bytes.
+void emit_solver_health(RunContext& ctx, const num::SolverHealth& health) {
+  if (health.unconverged_solves == 0) return;
+  ctx.metrics.scalar("solver_unconverged", health.unconverged_solves);
+  ctx.metrics.scalar("solver_max_violation", health.max_violation);
+}
+
 void emit_traffic_result(RunContext& ctx, transport::Scheme scheme,
                          const exp::TrafficResult& result) {
   ctx.metrics.scalar("transport", scheme_token(scheme));
   ctx.metrics.scalar("flow_count", result.flow_count);
   ctx.metrics.scalar("sim_events", result.sim_events);
   ctx.metrics.scalar("queue_drops", result.queue_drops);
+  emit_solver_health(ctx, result.solver_health);
 
   if (!result.flow_rates_bps.empty()) {
     MetricTable& summary = ctx.metrics.table(
@@ -749,6 +758,7 @@ void run_fct_sweep(RunContext& ctx, const std::string& default_workload) {
 
   const Fidelity fidelity = fidelity_param(ctx);
   const std::vector<double> loads = loads_param(ctx, {0.2, 0.4, 0.6, 0.8});
+  num::SolverHealth health;
   for (const double load : loads) {
     exp::DynamicWorkloadOptions options;
     apply_thread_context(ctx, options);
@@ -771,6 +781,7 @@ void run_fct_sweep(RunContext& ctx, const std::string& default_workload) {
                                              resolve_interval_param(ctx, 0),
                                              incremental_param(ctx))
             : exp::run_dynamic_workload(options);
+    health.merge(result.solver_health);
 
     // Normalized FCT = measured FCT / oracle-ideal FCT = ideal_rate / rate.
     std::vector<double> norms;
@@ -795,6 +806,7 @@ void run_fct_sweep(RunContext& ctx, const std::string& default_workload) {
                     stats::mean(by_bin[b])});
     }
   }
+  emit_solver_health(ctx, health);
 }
 
 // ---------------------------------------------------------------------------
@@ -990,6 +1002,7 @@ void run_trace_replay_scenario(RunContext& ctx) {
   ctx.metrics.scalar("transport", scheme_token(ctx.scheme));
   ctx.metrics.scalar("trace", path.empty() ? "<builtin>" : path);
   ctx.metrics.scalar("sim_events", result.sim_events);
+  emit_solver_health(ctx, result.solver_health);
 
   std::vector<double> fcts;
   for (const auto& flow : result.flows) {
@@ -1099,6 +1112,7 @@ void run_mega_fct_scenario(RunContext& ctx) {
   ctx.metrics.scalar("solver_sweeps", result.sim.solver_sweeps);
   ctx.metrics.scalar("solver_relaxations", result.sim.solver_relaxations);
   ctx.metrics.scalar("end_ms", result.sim.end_seconds * 1e3);
+  emit_solver_health(ctx, result.sim.solver_health);
 
   std::vector<double> fct_us;
   fct_us.reserve(result.sim.fct_seconds.size());

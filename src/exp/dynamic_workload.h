@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "net/topology.h"
+#include "num/num_solver.h"
 #include "transport/fabric.h"
 #include "workload/size_distribution.h"
 
@@ -50,6 +51,9 @@ struct DynamicWorkloadResult {
   int incomplete = 0;
   double bdp_bytes = 0;  // for size binning
   std::uint64_t sim_events = 0;
+  /// Flow fidelity: re-solves that did not converge (zero at packet
+  /// fidelity and for a healthy run).
+  num::SolverHealth solver_health;
 };
 
 DynamicWorkloadResult run_dynamic_workload(const DynamicWorkloadOptions& options);

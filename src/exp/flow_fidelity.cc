@@ -102,6 +102,7 @@ DynamicWorkloadResult run_dynamic_workload_flow(
                  options.solver_threads);
 
   DynamicWorkloadResult result;
+  result.solver_health = run.solver_health;
   result.bdp_bytes =
       built.host_rate_bps * sim::to_seconds(built.base_rtt) / 8.0;
   result.sim_events = 0;
@@ -170,12 +171,12 @@ TrafficResult run_traffic_experiment_flow(const TrafficOptions& options,
     problem.capacities = capacities;
     problem.utilities.assign(pairs.size(), &utility);
     problem.flow_links = std::move(flow_links);
-    num::CsrProblem csr = num::CsrProblem::compile(problem);
+    num::CsrProblem csr = num::CsrProblem::compile(std::move(problem));
     num::NumWorkspace workspace;
     num::NumSolverOptions solver_options;
     solver_options.tolerance = 1e-8;
     solver_options.policy = num::ExecutionPolicy::parallel(solver_threads);
-    num::solve(csr, workspace, solver_options);
+    result.solver_health.add(num::solve(csr, workspace, solver_options));
     for (const double rate : workspace.rates()) {
       const double rate_bps = rate * num::kRateUnitBps;
       result.flow_rates_bps.push_back(rate_bps);
@@ -198,6 +199,7 @@ TrafficResult run_traffic_experiment_flow(const TrafficOptions& options,
         engine_options(resolve_interval_seconds,
                        sim::to_seconds(options.horizon), solver_threads,
                        incremental));
+    result.solver_health = run.solver_health;
     const double latency_us = sim::to_seconds(built.base_rtt) * 1e6;
     for (const double fct : run.fct_seconds) {
       if (fct < 0) {
@@ -275,6 +277,7 @@ TraceReplayResult run_trace_replay_flow(const TraceReplayOptions& options,
 
   TraceReplayResult result;
   result.sim_events = 0;
+  result.solver_health = run.solver_health;
   const double latency = sim::to_seconds(built.base_rtt);
   for (std::size_t i = 0; i < options.trace.size(); ++i) {
     TraceReplayResult::PerFlow row;

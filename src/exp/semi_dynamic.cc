@@ -164,8 +164,8 @@ std::vector<double> Driver::oracle_targets_bps() {
   // active order (the legacy summation order — keeps the convergence golden
   // hash stable); the workspace and the explicit warm prices persist across
   // events, making each re-solve warm and allocation-free.
-  const num::NumProblem problem = make_num_problem(*indexer_, flows);
-  const num::CsrProblem csr = num::CsrProblem::compile(problem);
+  const num::CsrProblem csr =
+      num::CsrProblem::compile(make_num_problem(*indexer_, flows));
   num::NumSolverOptions solver_options;
   solver_options.tolerance = 1e-10;
   solver_options.initial_prices = warm_prices_;  // empty on the first event

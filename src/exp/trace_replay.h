@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "net/topology.h"
+#include "num/num_solver.h"
 #include "transport/fabric.h"
 #include "workload/trace.h"
 
@@ -41,6 +42,9 @@ struct TraceReplayResult {
   int completed = 0;
   int incomplete = 0;
   std::uint64_t sim_events = 0;
+  /// Flow fidelity: re-solves that did not converge (zero at packet
+  /// fidelity and for a healthy run).
+  num::SolverHealth solver_health;
 };
 
 TraceReplayResult run_trace_replay(const TraceReplayOptions& options);

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "net/topology.h"
+#include "num/num_solver.h"
 #include "transport/fabric.h"
 
 namespace numfabric::exp {
@@ -83,6 +84,9 @@ struct TrafficResult {
 
   std::uint64_t sim_events = 0;
   std::uint64_t queue_drops = 0;
+  /// Flow fidelity: solves that did not converge (zero at packet fidelity
+  /// and for a healthy run).
+  num::SolverHealth solver_health;
 };
 
 TrafficResult run_traffic_experiment(const TrafficOptions& options);

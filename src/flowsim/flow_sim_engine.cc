@@ -15,9 +15,14 @@ namespace {
 constexpr double kDoneBits = 1e-6;  // remaining <= this counts as finished
 
 // Compile the full flow set once; arrivals and departures are set_active
-// row patches, re-solves share one warm workspace.
-num::CsrProblem compile_flows(const std::vector<FlowSimFlow>& flows,
-                              std::vector<double> capacities) {
+// row patches, re-solves share one warm workspace.  Keeps only each flow's
+// arrival time and size: the paths move into the problem, and the flow
+// vector is released before the CSR arrays are built, so a 10^5-flow input
+// is never held alongside its compiled form.
+num::CsrProblem compile_flows(std::vector<FlowSimFlow>& flows,
+                              std::vector<double> capacities,
+                              std::vector<double>& arrival_seconds,
+                              std::vector<double>& size_bytes) {
   for (const FlowSimFlow& f : flows) {
     if (f.size_bytes <= 0) {
       throw std::invalid_argument("FlowSimEngine: size <= 0");
@@ -33,11 +38,16 @@ num::CsrProblem compile_flows(const std::vector<FlowSimFlow>& flows,
   problem.capacities = std::move(capacities);
   problem.utilities.reserve(flows.size());
   problem.flow_links.reserve(flows.size());
-  for (const FlowSimFlow& f : flows) {
+  arrival_seconds.reserve(flows.size());
+  size_bytes.reserve(flows.size());
+  for (FlowSimFlow& f : flows) {
+    arrival_seconds.push_back(f.arrival_seconds);
+    size_bytes.push_back(f.size_bytes);
     problem.utilities.push_back(f.utility);
-    problem.flow_links.push_back(f.links);
+    problem.flow_links.push_back(std::move(f.links));
   }
-  return num::CsrProblem::compile(problem);
+  std::vector<FlowSimFlow>().swap(flows);
+  return num::CsrProblem::compile(std::move(problem));
 }
 
 }  // namespace
@@ -45,14 +55,14 @@ num::CsrProblem compile_flows(const std::vector<FlowSimFlow>& flows,
 FlowSimEngine::FlowSimEngine(std::vector<FlowSimFlow> flows,
                              std::vector<double> capacities,
                              FlowSimOptions options)
-    : flows_(std::move(flows)),
-      options_(std::move(options)),
-      csr_(compile_flows(flows_, std::move(capacities))) {
+    : options_(std::move(options)),
+      csr_(compile_flows(flows, std::move(capacities), arrival_seconds_,
+                         size_bytes_)) {
   if (options_.resolve_interval_seconds < 0) {
     throw std::invalid_argument("FlowSimEngine: resolve interval < 0");
   }
 
-  order_.resize(flows_.size());
+  order_.resize(arrival_seconds_.size());
   std::iota(order_.begin(), order_.end(), std::size_t{0});
   // Stable: simultaneous arrivals admit in increasing flow id, so their
   // set_active calls append to the compacted active rows instead of
@@ -60,9 +70,9 @@ FlowSimEngine::FlowSimEngine(std::vector<FlowSimFlow> flows,
   // the row patch commutes and every per-flow pass writes disjoint slots.)
   std::stable_sort(
       order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
-        return flows_[a].arrival_seconds < flows_[b].arrival_seconds;
+        return arrival_seconds_[a] < arrival_seconds_[b];
       });
-  remaining_bits_.assign(flows_.size(), 0.0);
+  remaining_bits_.assign(arrival_seconds_.size(), 0.0);
   reset();
 }
 
@@ -70,29 +80,27 @@ void FlowSimEngine::reset() {
   csr_.deactivate_all();
   workspace_.reset();
   solver_options_ = options_.solver;
-  active_.clear();
   std::fill(remaining_bits_.begin(), remaining_bits_.end(), 0.0);
   next_arrival_ = 0;
   now_ = 0.0;
-  finished_ = flows_.empty();
+  finished_ = arrival_seconds_.empty();
   result_ = FlowSimResult{};
-  result_.fct_seconds.assign(flows_.size(), -1.0);
-  result_.ideal_rate.assign(flows_.size(), 0.0);
+  result_.fct_seconds.assign(arrival_seconds_.size(), -1.0);
+  result_.ideal_rate.assign(arrival_seconds_.size(), 0.0);
   if (finished_) result_.end_seconds = 0.0;
 }
 
 void FlowSimEngine::admit_due_arrivals() {
-  if (active_.empty() && next_arrival_ < order_.size()) {
-    now_ = std::max(now_, flows_[order_[next_arrival_]].arrival_seconds);
+  if (csr_.active_count() == 0 && next_arrival_ < order_.size()) {
+    now_ = std::max(now_, arrival_seconds_[order_[next_arrival_]]);
   }
   while (next_arrival_ < order_.size() &&
-         flows_[order_[next_arrival_]].arrival_seconds <= now_ + 1e-15) {
+         arrival_seconds_[order_[next_arrival_]] <= now_ + 1e-15) {
     const std::size_t id = order_[next_arrival_++];
-    active_.push_back(id);
-    remaining_bits_[id] = flows_[id].size_bytes * 8.0;
+    remaining_bits_[id] = size_bytes_[id] * 8.0;
     csr_.set_active(id, true);
   }
-  result_.peak_active = std::max(result_.peak_active, active_.size());
+  result_.peak_active = std::max(result_.peak_active, csr_.active_count());
 }
 
 void FlowSimEngine::resolve() {
@@ -104,12 +112,13 @@ void FlowSimEngine::resolve() {
   ++result_.resolves;
   result_.solver_sweeps += stats.sweeps;
   result_.solver_relaxations += stats.relaxations;
+  result_.solver_health.add(stats);
 }
 
 void FlowSimEngine::retire(std::size_t id, double at_seconds) {
-  const double fct = at_seconds - flows_[id].arrival_seconds;
+  const double fct = at_seconds - arrival_seconds_[id];
   result_.fct_seconds[id] = fct;
-  result_.ideal_rate[id] = flows_[id].size_bytes * 8.0 /
+  result_.ideal_rate[id] = size_bytes_[id] * 8.0 /
                            std::max(fct, 1e-12) / num::kRateUnitBps;
   ++result_.completed;
   csr_.set_active(id, false);
@@ -117,9 +126,9 @@ void FlowSimEngine::retire(std::size_t id, double at_seconds) {
 
 void FlowSimEngine::finish() {
   finished_ = true;
-  result_.incomplete += static_cast<int>(active_.size());
+  result_.incomplete += static_cast<int>(csr_.active_count());
   result_.incomplete += static_cast<int>(order_.size() - next_arrival_);
-  active_.clear();
+  csr_.deactivate_all();
   result_.end_seconds = now_;
 }
 
@@ -133,9 +142,10 @@ bool FlowSimEngine::step_exact() {
   // Advance to the next event: first completion, next arrival or horizon.
   double dt = std::numeric_limits<double>::infinity();
   if (next_arrival_ < order_.size()) {
-    dt = flows_[order_[next_arrival_]].arrival_seconds - now_;
+    dt = arrival_seconds_[order_[next_arrival_]] - now_;
   }
-  for (const std::size_t id : active_) {
+  for (const std::int32_t f : csr_.active_flows()) {
+    const auto id = static_cast<std::size_t>(f);
     const double rate_bps = rates[id] * num::kRateUnitBps;
     if (rate_bps <= 0) continue;
     dt = std::min(dt, remaining_bits_[id] / rate_bps);
@@ -146,23 +156,22 @@ bool FlowSimEngine::step_exact() {
   dt = std::min(dt, options_.horizon_seconds - now_);
   dt = std::max(dt, 0.0);
   now_ += dt;
-  for (const std::size_t id : active_) {
+  for (const std::int32_t f : csr_.active_flows()) {
+    const auto id = static_cast<std::size_t>(f);
     remaining_bits_[id] -= rates[id] * num::kRateUnitBps * dt;
   }
 
-  for (std::size_t k = 0; k < active_.size();) {
-    const std::size_t id = active_[k];
+  for (std::size_t k = 0; k < csr_.active_count();) {
+    const auto id = static_cast<std::size_t>(csr_.active_flows()[k]);
     if (remaining_bits_[id] <= kDoneBits) {
-      retire(id, now_);
-      active_[k] = active_.back();
-      active_.pop_back();
+      retire(id, now_);  // moves the last active flow into slot k
     } else {
       ++k;
     }
   }
 
   if (now_ >= options_.horizon_seconds ||
-      (active_.empty() && next_arrival_ >= order_.size())) {
+      (csr_.active_count() == 0 && next_arrival_ >= order_.size())) {
     finish();
   }
   return !finished_;
@@ -179,8 +188,8 @@ bool FlowSimEngine::step_grid() {
   const double window_end = std::min(now_ + options_.resolve_interval_seconds,
                                      options_.horizon_seconds);
   double max_rate = 0.0;
-  for (std::size_t k = 0; k < active_.size();) {
-    const std::size_t id = active_[k];
+  for (std::size_t k = 0; k < csr_.active_count();) {
+    const auto id = static_cast<std::size_t>(csr_.active_flows()[k]);
     const double rate_bps = rates[id] * num::kRateUnitBps;
     max_rate = std::max(max_rate, rate_bps);
     const double drain = rate_bps * (window_end - now_);
@@ -189,23 +198,22 @@ bool FlowSimEngine::step_grid() {
           rate_bps > 0
               ? std::min(now_ + remaining_bits_[id] / rate_bps, window_end)
               : window_end;
-      retire(id, done_at);
-      ++result_.epochs;  // the departure epoch, handled without a solve
-      active_[k] = active_.back();
-      active_.pop_back();
+      retire(id, done_at);  // moves the last active flow into slot k
+      ++result_.epochs;     // the departure epoch, handled without a solve
     } else {
       remaining_bits_[id] -= drain;
       ++k;
     }
   }
-  if (!active_.empty() && max_rate <= 0 && next_arrival_ >= order_.size() &&
+  if (csr_.active_count() != 0 && max_rate <= 0 &&
+      next_arrival_ >= order_.size() &&
       !std::isfinite(options_.horizon_seconds)) {
     throw std::logic_error("FlowSimEngine: stalled (all rates zero)");
   }
   now_ = window_end;
 
   if (now_ >= options_.horizon_seconds ||
-      (active_.empty() && next_arrival_ >= order_.size())) {
+      (csr_.active_count() == 0 && next_arrival_ >= order_.size())) {
     finish();
   }
   return !finished_;

@@ -73,6 +73,9 @@ struct FlowSimResult {
   /// Total incremental worklist relaxations (0 unless
   /// FlowSimOptions::solver.incremental).
   std::int64_t solver_relaxations = 0;
+  /// Re-solves that hit max_sweeps unconverged, with their worst violation
+  /// (all zero for a healthy run).
+  num::SolverHealth solver_health;
   /// Largest concurrently-active flow count observed.
   std::size_t peak_active = 0;
   /// Simulated time when the run ended.
@@ -87,7 +90,9 @@ class FlowSimEngine {
  public:
   /// Validates flows (positive size, non-empty path, non-null utility —
   /// throws std::invalid_argument like the fluid oracle) and compiles the
-  /// CSR problem.  `capacities` are in rate units (Mbps).
+  /// CSR problem.  `capacities` are in rate units (Mbps).  Only the arrival
+  /// times and sizes outlive construction: the paths move into the compiled
+  /// problem and the flow vector is released before it is built.
   FlowSimEngine(std::vector<FlowSimFlow> flows, std::vector<double> capacities,
                 FlowSimOptions options = {});
 
@@ -105,7 +110,7 @@ class FlowSimEngine {
 
   bool finished() const { return finished_; }
   double now_seconds() const { return now_; }
-  std::size_t active_count() const { return active_.size(); }
+  std::size_t active_count() const { return csr_.active_count(); }
   const FlowSimResult& result() const { return result_; }
 
  private:
@@ -116,14 +121,14 @@ class FlowSimEngine {
   bool step_grid();
   void finish();
 
-  std::vector<FlowSimFlow> flows_;
   FlowSimOptions options_;
-  num::CsrProblem csr_;
+  std::vector<double> arrival_seconds_;  // per flow, input order
+  std::vector<double> size_bytes_;       // per flow, input order
+  num::CsrProblem csr_;  // after the per-flow arrays: compiling fills them
   num::NumWorkspace workspace_;
   num::NumSolverOptions solver_options_;
 
   std::vector<std::size_t> order_;  // flow ids by arrival time
-  std::vector<std::size_t> active_;
   std::vector<double> remaining_bits_;
   std::size_t next_arrival_ = 0;
   double now_ = 0.0;

@@ -41,12 +41,16 @@ std::vector<std::vector<int>> flows_on_link(
 }
 
 CsrProblem CsrProblem::compile(const NumProblem& problem) {
+  return compile(NumProblem(problem));
+}
+
+CsrProblem CsrProblem::compile(NumProblem&& problem) {
   validate(problem);
   const std::size_t num_flows = problem.utilities.size();
   const std::size_t num_links = problem.capacities.size();
 
   CsrProblem csr;
-  csr.capacities_ = problem.capacities;
+  csr.capacities_ = std::move(problem.capacities);
 
   // Flow -> link CSR, preserving path order (path_price sums round the same
   // way the legacy per-flow loops did).
@@ -61,20 +65,22 @@ CsrProblem CsrProblem::compile(const NumProblem& problem) {
   for (const auto& links : problem.flow_links) {
     for (int l : links) csr.flow_links_.push_back(l);
   }
+  std::vector<std::vector<int>>().swap(problem.flow_links);
 
-  // Link -> flow CSR in increasing flow order: counting sort over the same
-  // flow-major walk the legacy flows_on_link construction used.
+  // Link -> flow rows in increasing flow order: counting sort over the same
+  // flow-major walk the legacy flows_on_link construction used.  All flows
+  // start active, so the compacted active rows start as the full rows.
   csr.link_offsets_.assign(num_links + 1, 0);
   for (int l : csr.flow_links_) ++csr.link_offsets_[static_cast<std::size_t>(l) + 1];
   for (std::size_t l = 0; l < num_links; ++l) {
     csr.link_offsets_[l + 1] += csr.link_offsets_[l];
   }
-  csr.link_flows_.resize(nnz);
+  csr.link_active_.resize(nnz);
   std::vector<std::int32_t> cursor(csr.link_offsets_.begin(),
                                    csr.link_offsets_.end() - 1);
   for (std::size_t i = 0; i < num_flows; ++i) {
-    for (int l : problem.flow_links[i]) {
-      csr.link_flows_[static_cast<std::size_t>(
+    for (const std::int32_t l : csr.flow_links(i)) {
+      csr.link_active_[static_cast<std::size_t>(
           cursor[static_cast<std::size_t>(l)]++)] = static_cast<std::int32_t>(i);
     }
   }
@@ -84,26 +90,21 @@ CsrProblem CsrProblem::compile(const NumProblem& problem) {
   // marginal_inverse must keep throwing) goes through the virtual fallback.
   csr.weight_.assign(num_flows, 1.0);
   csr.neg_inv_alpha_.assign(num_flows, 0.0);
-  csr.generic_.assign(num_flows, nullptr);
-  csr.utilities_ = problem.utilities;
+  csr.utilities_ = std::move(problem.utilities);
   csr.kind_.assign(num_flows, kGeneric);
   for (std::size_t i = 0; i < num_flows; ++i) {
     const auto* alpha_fair =
-        dynamic_cast<const AlphaFairUtility*>(problem.utilities[i]);
+        dynamic_cast<const AlphaFairUtility*>(csr.utilities_[i]);
     if (alpha_fair != nullptr && alpha_fair->alpha() > 0.0) {
       csr.weight_[i] = alpha_fair->weight();
       csr.neg_inv_alpha_[i] = -1.0 / alpha_fair->alpha();
       csr.kind_[i] = csr.neg_inv_alpha_[i] == -1.0 ? kReciprocal : kPow;
-    } else {
-      csr.generic_[i] = problem.utilities[i];
     }
   }
 
-  // All flows start active: the compacted rows are the full rows (already in
-  // increasing flow id from the counting sort) and the active list is the
-  // identity.
+  // All flows start active: the compacted rows hold every flow (filled
+  // above) and the active list is the identity.
   csr.active_.assign(num_flows, 1);
-  csr.link_active_ = csr.link_flows_;
   csr.link_active_count_.resize(num_links);
   for (std::size_t l = 0; l < num_links; ++l) {
     csr.link_active_count_[l] =
@@ -125,7 +126,9 @@ CsrProblem CsrProblem::compile(const NumProblem& problem) {
 }
 
 // Greedy layering of the link conflict graph (conflict = sharing a flow):
-// color(l) = 1 + max color of any conflicting earlier link.  This is the
+// color(l) = 1 + max color of any conflicting earlier link.  Runs inside
+// compile(), while every flow is active, so the compacted rows are the full
+// rows.  This is the
 // minimal schedule in which every conflict edge crosses wave boundaries in
 // id order — the property that makes wave execution bit-identical to the
 // natural-order serial sweep for any thread count.
@@ -135,7 +138,7 @@ void CsrProblem::build_waves() {
   std::int32_t max_color = 0;
   for (std::size_t l = 0; l < num_links; ++l) {
     std::int32_t c = 0;
-    for (std::int32_t i : link_flows(l)) {
+    for (std::int32_t i : link_active_flows(l)) {
       for (std::int32_t k : flow_links(static_cast<std::size_t>(i))) {
         if (static_cast<std::size_t>(k) < l) {
           c = std::max(c, color[static_cast<std::size_t>(k)] + 1);

@@ -19,8 +19,8 @@
 //  * per-flow AlphaFairUtility parameters as dense SoA (weight, -1/alpha),
 //    so the solver's inner loop runs closed-form arithmetic with no virtual
 //    dispatch.  Flows whose utility is not a positive-alpha AlphaFairUtility
-//    keep a generic UtilityFunction* fallback with the exact legacy
-//    semantics (including the alpha == 0 throw);
+//    fall back to their UtilityFunction with the exact legacy semantics
+//    (including the alpha == 0 throw);
 //  * a wave schedule: links colored greedily in id order with
 //    color(l) = 1 + max{color(k) : k < l, k shares a flow with l}.  Within a
 //    wave no two links share a flow, every conflicting earlier link sits in
@@ -32,12 +32,13 @@
 // set_active() toggles a flow without recompiling: it is exactly the
 // subproblem over the active rows.  Two structures keep that patch O(path ×
 // row-active) instead of forcing the solver back to O(history):
-//  * per-link *compacted active rows*: alongside each full link->flow row,
-//    the prefix [link_offsets_[l], link_offsets_[l] + link_active_count_[l])
-//    of link_active_ lists only the link's active flows, maintained sorted
-//    by flow id — the legacy summation order — so iterating the compacted
-//    row yields the identical values in the identical order as scanning the
-//    full row and skipping inactives.  Every load sum therefore rounds
+//  * per-link *compacted active rows*: each link->flow row has room for
+//    every compiled flow on the link, and its prefix [link_offsets_[l],
+//    link_offsets_[l] + link_active_count_[l]) of link_active_ lists only
+//    the link's active flows, maintained sorted by flow id — the legacy
+//    summation order — so iterating the compacted row yields the identical
+//    values in the identical order as scanning every compiled flow on the
+//    link and skipping inactives.  Every load sum therefore rounds
 //    bit-identically while costing O(active-on-link), not O(ever-compiled);
 //  * a global active-flow list (unsorted, swap-remove) for the solver's
 //    per-flow passes (path_price init, rate extraction) — those loops write
@@ -91,6 +92,10 @@ class CsrProblem {
   /// where the legacy solve_num did).  All flows start active.  The utility
   /// objects are borrowed; keep them alive for the CsrProblem's lifetime.
   static CsrProblem compile(const NumProblem& problem);
+  /// The same, consuming `problem`: its nested paths are released as soon as
+  /// they are flattened, so peak memory holds one copy of the incidence —
+  /// the form for 10^5+ flow sets.
+  static CsrProblem compile(NumProblem&& problem);
 
   std::size_t num_flows() const { return weight_.size(); }
   std::size_t num_links() const { return capacities_.size(); }
@@ -116,18 +121,16 @@ class CsrProblem {
     return {flow_links_.data() + flow_offsets_[flow],
             flow_links_.data() + flow_offsets_[flow + 1]};
   }
-  std::span<const std::int32_t> link_flows(std::size_t link) const {
-    return {link_flows_.data() + link_offsets_[link],
-            link_flows_.data() + link_offsets_[link + 1]};
-  }
   /// The compacted row: the link's *active* flows, sorted by flow id — the
-  /// same values in the same order as link_flows(link) filtered by active().
+  /// same values in the same order as a scan of every compiled flow on the
+  /// link that skips inactives.
   std::span<const std::int32_t> link_active_flows(std::size_t link) const {
     return {link_active_.data() + link_offsets_[link],
             link_active_.data() + link_offsets_[link] +
                 link_active_count_[link]};
   }
-  /// All active flows, unsorted (swap-remove order).  Safe wherever the
+  /// All active flows, unsorted: activating a flow appends it, deactivating
+  /// one moves the last entry into its slot (swap-remove).  Safe wherever the
   /// consumer writes disjoint per-flow slots; use link_active_flows for any
   /// order-sensitive summation.
   std::span<const std::int32_t> active_flows() const { return active_list_; }
@@ -172,8 +175,15 @@ class CsrProblem {
         return std::min(rate, kMaxRate);
       }
       default:
-        return generic_[flow]->marginal_inverse(price);
+        return utilities_[flow]->marginal_inverse(price);
     }
+  }
+
+  /// True iff the flow takes the alpha == 1 reciprocal path above, whose
+  /// rate is monotone non-increasing in price bit for bit (correctly rounded
+  /// max, divide and min are monotone).  libm pow carries no such guarantee.
+  bool reciprocal(std::size_t flow) const {
+    return kind_[flow] == kReciprocal;
   }
 
   /// U'(rate) for one flow (the compiled twin of marginal_inverse, used by
@@ -193,22 +203,21 @@ class CsrProblem {
 
   std::vector<std::int32_t> flow_offsets_;  // num_flows + 1
   std::vector<std::int32_t> flow_links_;    // flat, path order
-  std::vector<std::int32_t> link_offsets_;  // num_links + 1
-  std::vector<std::int32_t> link_flows_;    // flat, increasing flow id
+  std::vector<std::int32_t> link_offsets_;  // num_links + 1, row bounds
   std::vector<std::int32_t> wave_offsets_;  // num_waves + 1
   std::vector<std::int32_t> wave_links_;    // flat, increasing link id per wave
 
-  // Compacted active rows: same offsets as link_flows_, first
-  // link_active_count_[l] entries of each row are the link's active flows in
-  // increasing flow id.
+  // Compacted active rows: row l spans [link_offsets_[l], link_offsets_[l+1])
+  // — room for every compiled flow on the link — and its first
+  // link_active_count_[l] entries are the link's active flows in increasing
+  // flow id.  The inactive tail is scratch.
   std::vector<std::int32_t> link_active_;
   std::vector<std::int32_t> link_active_count_;  // num_links
 
   std::vector<double> capacities_;
   std::vector<double> weight_;         // alpha-fair weight (1.0 for generic)
   std::vector<double> neg_inv_alpha_;  // -1/alpha (0.0 for generic)
-  std::vector<const UtilityFunction*> generic_;  // non-null iff kind kGeneric
-  std::vector<const UtilityFunction*> utilities_;  // all, for marginal()
+  std::vector<const UtilityFunction*> utilities_;  // all; kGeneric calls them
   std::vector<std::uint8_t> kind_;
 
   std::vector<std::uint8_t> active_;
@@ -251,7 +260,6 @@ class NumWorkspace {
 
   std::vector<double> prices_;
   std::vector<double> path_price_;
-  std::vector<double> base_;    // path price minus the updating link's price
   std::vector<double> change_;  // per-link |new - old| for the wave path
   std::vector<double> rates_;
   bool warm_ = false;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace numfabric::num {
 
@@ -39,7 +40,7 @@ FluidFctResult fluid_fct_oracle(const std::vector<FluidFlow>& flows,
     problem.utilities.push_back(f.utility);
     problem.flow_links.push_back(f.links);
   }
-  CsrProblem csr = CsrProblem::compile(problem);
+  CsrProblem csr = CsrProblem::compile(std::move(problem));
   for (std::size_t i = 0; i < flows.size(); ++i) csr.set_active(i, false);
   NumWorkspace workspace;
 

@@ -1,8 +1,10 @@
 #include "num/num_solver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/substrate_stats.h"
@@ -16,7 +18,6 @@ struct SolverAccess {
   static std::vector<double>& path_price(NumWorkspace& ws) {
     return ws.path_price_;
   }
-  static std::vector<double>& base(NumWorkspace& ws) { return ws.base_; }
   static std::vector<double>& change(NumWorkspace& ws) { return ws.change_; }
   static std::vector<double>& rates(NumWorkspace& ws) { return ws.rates_; }
   static bool& warm(NumWorkspace& ws) { return ws.warm_; }
@@ -37,6 +38,19 @@ struct SolverAccess {
   }
 };
 
+bool link_overloaded(const CsrProblem& problem, std::size_t link,
+                     std::span<const double> path_price, double price,
+                     double candidate) {
+  const double capacity = problem.capacities()[link];
+  double load = 0.0;
+  for (const std::int32_t i : problem.link_active_flows(link)) {
+    const auto fi = static_cast<std::size_t>(i);
+    load += problem.marginal_inverse(fi, (path_price[fi] - price) + candidate);
+    if (load > capacity) return true;
+  }
+  return false;
+}
+
 namespace {
 
 /// resize() that counts actual heap growth into the substrate stats — the
@@ -46,53 +60,162 @@ void sized(std::vector<double>& v, std::size_t n) {
   v.resize(n);
 }
 
-/// The per-link Gauss-Seidel update.  Reads/writes prices[l], base and
+/// Newton seeding stops once a step is within the window width; this many
+/// passes bound it when it does not, and kMaxProbes bounds the certifying
+/// evaluations after it.
+constexpr int kMaxNewtonPasses = 6;
+constexpr int kMaxProbes = 3;
+
+/// Half-width of the window certified around a price estimate x.  A warm
+/// bisection stops at brackets of price_resolution, so a window well inside
+/// that is rarely entered by its midpoints.  A cold one runs to adjacent
+/// doubles and evaluates every midpoint inside the window, so the window
+/// is kept to 16 ulps: about the rounding noise with which a load sum of a
+/// few hundred terms locates its own threshold (a probe that falls short
+/// is retried further out).
+double window_width(double x, double price_resolution) {
+  return std::max(x * 0x1p-48, price_resolution * (1.0 / 32));
+}
+
+/// Seeds the memo [yes, no] of update_link's predicate on an all-reciprocal
+/// row with a safeguarded Newton solve of load(x) = capacity from `start`,
+/// where load(x) = sum w/(b+x) over the row's flows, b is a flow's path
+/// price without this link (whose current price is `price`), and
+/// load'(x) = -sum r^2/w = -sum r/(b+x).
+/// Every pass sums the load with exactly the predicate's terms in its
+/// order, so `load > capacity` is an exact evaluation of the predicate and
+/// goes into the memo.  One more exact evaluation just beyond the estimate
+/// certifies the open side, closing the window around the threshold.  A bad
+/// estimate costs passes only: the memo records nothing but exact verdicts.
+void seed_window(const CsrProblem& problem, std::size_t l,
+                 std::span<const double> path_price, double price,
+                 double start, double price_resolution, double& yes,
+                 double& no, std::int64_t& row_passes) {
+  const double capacity = problem.capacities()[l];
+  double x = start;
+  double estimate = 0.0;
+  bool over = false;
+  bool converged = false;
+  for (int pass = 0; pass < kMaxNewtonPasses; ++pass) {
+    double load = 0.0;
+    double slope = 0.0;
+    for (const std::int32_t i : problem.link_active_flows(l)) {
+      const auto fi = static_cast<std::size_t>(i);
+      const double flow_price = (path_price[fi] - price) + x;
+      const double rate = problem.marginal_inverse(fi, flow_price);
+      load += rate;
+      slope += rate / std::max(flow_price, kMinPrice);
+    }
+    ++row_passes;
+    over = load > capacity;
+    (over ? yes : no) = x;
+    if (no <= 0.0) return;  // free at zero: the price is 0
+
+    const double lower = std::max(yes, 0.0);
+    estimate = x + (load - capacity) / slope;
+    if (!over && estimate <= 0.0 && yes < 0.0) {
+      estimate = 0.0;  // the tangent says free: ask the bisection's first question
+    } else if (!(estimate > lower && estimate < no)) {
+      // Off the window: x * load / capacity stays on x's side of the root
+      // (x * load(x) is increasing), so it is a safe fallback step.
+      estimate = x * load / capacity;
+      if (!(estimate > lower && estimate < no)) return;
+    }
+    const double step = estimate - x;
+    x = estimate;
+    // Within the window, or (warm) within the bracket the bisection stops
+    // at: a window that narrow is rarely entered by its midpoints.
+    if (std::abs(step) <=
+        std::max(window_width(x, price_resolution), price_resolution)) {
+      converged = true;
+      break;
+    }
+  }
+  if (!converged || x <= 0.0) return;
+
+  // The last pass sat within one window width of the estimate, on the side
+  // `over` says; probe the far side.  A probe that lands short of the
+  // threshold still tightens the memo, and the next one reaches further.
+  double width = window_width(x, price_resolution);
+  for (int probes = 0; probes < kMaxProbes; ++probes, width *= 16.0) {
+    const double probe = over ? x + width : x - width;
+    if (!(probe > std::max(yes, 0.0) && probe < no)) return;
+    ++row_passes;
+    const bool probe_over =
+        link_overloaded(problem, l, path_price, price, probe);
+    (probe_over ? yes : no) = probe;
+    if (probe_over != over) return;
+  }
+}
+
+/// The per-link Gauss-Seidel update.  Reads/writes prices[l] and the
 /// path_price of the link's active flows only — state disjoint from every
 /// other link in the same wave — and returns |new_price - old_price|.
+/// Counts each pass over the row (exact predicate evaluations and Newton
+/// passes alike) into `row_passes`.
 ///
 /// Iteration runs over the compacted active row (link_active_flows): the
 /// same flow ids, in the same increasing order, as scanning the full
 /// compiled row and skipping inactives — so every partial sum rounds
 /// bit-identically while the cost is O(active-on-link), not O(history).
 ///
-/// Arithmetic is line-for-line the legacy solve_num bisection; the three
-/// differences are bit-exact accelerations:
-///  * load sums early-exit once the partial sum exceeds capacity (terms are
+/// The bracket, the doubling loop, price_resolution and the frozen-bracket
+/// exit are line-for-line the legacy solve_num bisection, so the written
+/// price is bitwise the legacy one.  The accelerations are bit-exact:
+///  * link_overloaded's load sum exits early once over capacity: terms are
 ///    non-negative and correctly rounded addition is monotone, so the
-///    verdict of the > capacity predicate — the only thing the bisection
-///    ever reads — is unchanged);
+///    verdict is the full sum's (which is also why a Newton pass's full sum
+///    is an exact evaluation);
 ///  * marginal_inverse is devirtualized through CsrProblem (same arithmetic
 ///    sequence, see csr_problem.h);
+///  * the bisection reads only the predicate link_overloaded(x), and on a
+///    row of kReciprocal flows that predicate is monotone in x (see
+///    link_overloaded).  A memo holds `yes`, at or below which it is known
+///    true, and `no`, at or above which it is known false, and evaluates the
+///    row only strictly between them — every midpoint decision is the one
+///    the plain bisection would make;
+///  * seed_window fills the memo with a certified window around the
+///    threshold, so the bisection's descent costs no passes until its
+///    midpoints enter that window;
+///  * rows holding any kPow or generic flow keep the plain bisection: libm
+///    pow is not guaranteed monotone, so a memo verdict could differ from
+///    the evaluation it replaces;
 ///  * the fixed-depth bisection breaks once an iteration leaves the bracket
 ///    bitwise unchanged — every remaining iteration would recompute the same
 ///    midpoint and take the same branch, so the final 0.5 * (lo + hi) is
 ///    untouched.
 double update_link(const CsrProblem& problem, std::size_t l,
                    std::vector<double>& prices,
-                   std::vector<double>& path_price, std::vector<double>& base,
-                   double price_resolution) {
+                   std::vector<double>& path_price, double price_resolution,
+                   std::int64_t& row_passes) {
   const auto flows = problem.link_active_flows(l);
   if (flows.empty()) {
     prices[l] = 0.0;  // same as the legacy empty-link skip: no change recorded
     return 0.0;
   }
+  const double price = prices[l];
+  const bool monotone =
+      std::all_of(flows.begin(), flows.end(), [&](std::int32_t i) {
+        return problem.reciprocal(static_cast<std::size_t>(i));
+      });
 
-  // Does the load at `candidate` exceed capacity?  (The bisection only ever
-  // needs this predicate, never the load value itself.)
+  double yes = -std::numeric_limits<double>::infinity();
+  double no = std::numeric_limits<double>::infinity();
   const auto overloaded = [&](double candidate) {
-    const double capacity = problem.capacities()[l];
-    double load = 0.0;
-    for (const std::int32_t i : flows) {
-      const auto fi = static_cast<std::size_t>(i);
-      load += problem.marginal_inverse(fi, base[fi] + candidate);
-      if (load > capacity) return true;
-    }
-    return false;
+    if (candidate <= yes) return true;
+    if (candidate >= no) return false;
+    ++row_passes;
+    const bool over =
+        link_overloaded(problem, l, path_price, price, candidate);
+    if (monotone) (over ? yes : no) = candidate;
+    return over;
   };
-
-  for (const std::int32_t i : flows) {
-    const auto fi = static_cast<std::size_t>(i);
-    base[fi] = path_price[fi] - prices[l];
+  // A link at price 0 usually stays there: ask the bisection's first
+  // question before paying for a seed.  Seeding starts where the doubling
+  // loop does.
+  if (monotone && (price > 0.0 || overloaded(0.0))) {
+    seed_window(problem, l, path_price, price, std::max(price, 1e-6),
+                price_resolution, yes, no, row_passes);
   }
 
   double new_price;
@@ -101,7 +224,7 @@ double update_link(const CsrProblem& problem, std::size_t l,
   } else {
     // Bracket: load decreases in price; double until under capacity.
     double lo = 0.0;
-    double hi = std::max(prices[l], 1e-6);
+    double hi = std::max(price, 1e-6);
     while (overloaded(hi)) {
       lo = hi;
       hi *= 2.0;
@@ -122,10 +245,10 @@ double update_link(const CsrProblem& problem, std::size_t l,
     new_price = 0.5 * (lo + hi);
   }
 
-  const double change = std::abs(new_price - prices[l]);
+  const double change = std::abs(new_price - price);
   for (const std::int32_t i : flows) {
     const auto fi = static_cast<std::size_t>(i);
-    path_price[fi] = base[fi] + new_price;
+    path_price[fi] = (path_price[fi] - price) + new_price;
   }
   prices[l] = new_price;
   return change;
@@ -141,7 +264,6 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
 
   std::vector<double>& prices = SolverAccess::prices(workspace);
   std::vector<double>& path_price = SolverAccess::path_price(workspace);
-  std::vector<double>& base = SolverAccess::base(workspace);
   std::vector<double>& change = SolverAccess::change(workspace);
   std::vector<double>& rates = SolverAccess::rates(workspace);
 
@@ -183,7 +305,6 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
       path_price.size() == num_flows && rates.size() == num_flows;
 
   sized(path_price, num_flows);
-  sized(base, num_flows);
   if (incremental) {
     // Patch only the toggled flows: a newly (re)activated flow needs a fresh
     // path-price sum (its stored slot is stale); a deactivated flow just
@@ -225,6 +346,7 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
     sized(change, num_links);
   }
 
+  SolveStats stats;
   // One full sweep over every link; returns the max price change.  Serial
   // natural order and wave-parallel execution compute the same bits (see
   // csr_problem.h).
@@ -235,10 +357,11 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
       for (std::size_t l = 0; l < num_links; ++l) {
         max_price_change = std::max(
             max_price_change,
-            update_link(problem, l, prices, path_price, base,
-                        price_resolution));
+            update_link(problem, l, prices, path_price, price_resolution,
+                        stats.row_passes));
       }
     } else {
+      std::atomic<std::int64_t> row_passes{0};
       // Wave execution: per the schedule's construction every link's inputs
       // are exactly what the natural-order sweep would have shown it, so
       // this computes the same bits for any thread/chunk count.
@@ -253,13 +376,16 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
           const std::size_t end =
               wave.size() * (static_cast<std::size_t>(chunk) + 1) /
               static_cast<std::size_t>(chunks);
+          std::int64_t passes = 0;
           for (std::size_t k = begin; k < end; ++k) {
             const auto l = static_cast<std::size_t>(wave[k]);
-            change[l] = update_link(problem, l, prices, path_price, base,
-                                    price_resolution);
+            change[l] = update_link(problem, l, prices, path_price,
+                                    price_resolution, passes);
           }
+          row_passes += passes;
         });
       }
+      stats.row_passes += row_passes.load();
       // max is exact and order-independent, so reducing after the sweep
       // matches the serial running max bit-for-bit.
       for (std::size_t l = 0; l < num_links; ++l) {
@@ -269,7 +395,6 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
     return max_price_change;
   };
 
-  SolveStats stats;
   if (incremental) {
     // Worklist relaxation, seeded from the dirty links in increasing id.
     // Serial by construction — the order links come off the queue is a
@@ -306,7 +431,7 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
       in_queue[static_cast<std::size_t>(l)] = 0;
       const double delta =
           update_link(problem, static_cast<std::size_t>(l), prices,
-                      path_price, base, price_resolution);
+                      path_price, price_resolution, stats.row_passes);
       ++stats.relaxations;
       if (delta >= options.tolerance) {
         // The move perturbed the path price of every active flow through l;

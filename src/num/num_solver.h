@@ -20,6 +20,9 @@
 // every thread count.  See src/num/README.md.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "num/csr_problem.h"
@@ -59,6 +62,28 @@ struct SolveStats {
   double max_violation = 0.0;
   /// Worklist pops performed by the incremental path (0 for full solves).
   std::int64_t relaxations = 0;
+  /// Passes over link rows: exact evaluations of link_overloaded plus the
+  /// Newton passes that seed them.  A work counter for tests and benches;
+  /// not part of any emitted table.
+  std::int64_t row_passes = 0;
+};
+
+/// Health of a sequence of solves: all zero iff every solve converged.
+struct SolverHealth {
+  /// Solves that stopped at max_sweeps without converging.
+  std::int64_t unconverged_solves = 0;
+  /// Worst SolveStats::max_violation among those solves.
+  double max_violation = 0.0;
+
+  void add(const SolveStats& stats) {
+    if (stats.converged) return;
+    ++unconverged_solves;
+    max_violation = std::max(max_violation, stats.max_violation);
+  }
+  void merge(const SolverHealth& other) {
+    unconverged_solves += other.unconverged_solves;
+    max_violation = std::max(max_violation, other.max_violation);
+  }
 };
 
 /// Runs Gauss-Seidel dual sweeps on the compiled problem.  Results land in
@@ -67,6 +92,18 @@ struct SolveStats {
 /// (counted by the allocs_solver_workspace substrate stat).
 SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
                  const NumSolverOptions& options = {});
+
+/// The predicate each per-link update bisects on: would link `link`'s load
+/// exceed its capacity if its price moved from `price` to `candidate`?  The
+/// load is the sum over the link's active flows i of
+/// U_i'^{-1}((path_price[i] - price) + candidate), in increasing flow id,
+/// exiting early once over.  On a row of alpha == 1 flows it is monotone in
+/// `candidate` bit for bit: each term is a composition of correctly rounded
+/// +, max, / and min, all monotone, and a left-to-right sum of monotone
+/// non-negative terms is monotone.
+bool link_overloaded(const CsrProblem& problem, std::size_t link,
+                     std::span<const double> path_price, double price,
+                     double candidate);
 
 // ---------------------------------------------------------------------------
 // Deprecated compatibility wrapper: compiles + solves in one call, paying a

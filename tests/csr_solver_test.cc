@@ -18,21 +18,32 @@
 //    invariant, and fall back to full solves when the workspace binding is
 //    stale (tier 2);
 //  * kkt_residual's flow-major load pass is bitwise the legacy nested scan;
-//  * the deprecated solve_num wrapper reproduces the new API bit-for-bit.
+//  * the deprecated solve_num wrapper reproduces the new API bit-for-bit;
+//  * frozen bits: prices, rates and a mega-fct-shaped FCT vector hash to
+//    constants recorded before the certified-window link update landed;
+//  * the link predicate flips exactly once across its threshold on alpha == 1
+//    rows (the monotonicity the window's memo rests on), and a churn run
+//    stays under 6 row passes per link update.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <span>
 #include <vector>
 
+#include "flowsim/flow_sim_engine.h"
+#include "flowsim/virtual_fabric.h"
 #include "num/csr_problem.h"
 #include "num/num_solver.h"
 #include "num/utility.h"
 #include "sim/random.h"
 #include "sim/substrate_stats.h"
+#include "workload/scenarios.h"
+#include "workload/size_distribution.h"
 
 namespace numfabric::num {
 namespace {
@@ -84,6 +95,20 @@ RandomInstance make_random(double alpha, int flows, int links,
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Every compiled flow on `link`, in increasing flow id: the row the
+/// compacted active row filters.
+std::vector<std::int32_t> full_row(const CsrProblem& csr, std::size_t link) {
+  std::vector<std::int32_t> row;
+  for (std::size_t i = 0; i < csr.num_flows(); ++i) {
+    for (const std::int32_t l : csr.flow_links(i)) {
+      if (static_cast<std::size_t>(l) == link) {
+        row.push_back(static_cast<std::int32_t>(i));
+      }
+    }
+  }
+  return row;
 }
 
 struct CsrCase {
@@ -179,7 +204,7 @@ TEST_P(CsrSolverRandom, CompactedRowsMatchFullRowScan) {
     std::size_t active_total = 0;
     for (std::size_t l = 0; l < csr.num_links(); ++l) {
       std::vector<std::int32_t> reference;
-      for (const std::int32_t i : csr.link_flows(l)) {
+      for (const std::int32_t i : full_row(csr, l)) {
         if (csr.active(static_cast<std::size_t>(i))) reference.push_back(i);
       }
       const auto compacted = csr.link_active_flows(l);
@@ -614,8 +639,8 @@ TEST(CsrSolverTest, WaveScheduleHasNoIntraWaveConflicts) {
     std::vector<int> flows_in_wave;
     for (const std::int32_t link : csr.wave_links(w)) {
       ++links_seen;
-      for (const std::int32_t flow : csr.link_flows(
-               static_cast<std::size_t>(link))) {
+      for (const std::int32_t flow :
+           full_row(csr, static_cast<std::size_t>(link))) {
         EXPECT_EQ(std::find(flows_in_wave.begin(), flows_in_wave.end(), flow),
                   flows_in_wave.end())
             << "flow " << flow << " appears on two links of wave " << w;
@@ -624,6 +649,219 @@ TEST(CsrSolverTest, WaveScheduleHasNoIntraWaveConflicts) {
     }
   }
   EXPECT_EQ(links_seen, csr.num_links());
+}
+
+// ---------------------------------------------------------------------------
+// Frozen bits.  FNV-1a 64 over the exact bytes the solver writes, recorded
+// before the certified-window search replaced plain bisection in the link
+// update: any change that moves one bit of one price, rate or completion
+// time changes a constant below.
+// ---------------------------------------------------------------------------
+
+class Fnv1a {
+ public:
+  void add(std::span<const double> values) {
+    for (const double v : values) {
+      unsigned char bytes[sizeof(double)];
+      std::memcpy(bytes, &v, sizeof(double));
+      for (const unsigned char b : bytes) {
+        hash_ ^= b;
+        hash_ *= 1099511628211ull;
+      }
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+/// make_random with alpha cycling through {0.5, 1, 2} by flow id.
+RandomInstance make_mixed_alpha(int flows, int links, std::uint64_t seed) {
+  RandomInstance instance = make_random(1.0, flows, links, seed);
+  constexpr double kAlphas[] = {0.5, 1.0, 2.0};
+  for (std::size_t i = 0; i < instance.utilities.size(); ++i) {
+    instance.utilities[i] = std::make_unique<AlphaFairUtility>(
+        kAlphas[i % 3], instance.utilities[i]->weight());
+    instance.problem.utilities[i] = instance.utilities[i].get();
+  }
+  return instance;
+}
+
+/// Prices and rates of one instance through a cold solve, a warm re-solve
+/// after a row patch, an incremental churn sequence and a parallel(4) cold
+/// solve, folded into one hash.
+void hash_solver_bits(const RandomInstance& instance, std::uint64_t seed,
+                      Fnv1a& hash) {
+  const auto add = [&hash](const NumWorkspace& ws) {
+    hash.add(ws.prices());
+    hash.add(ws.rates());
+  };
+  CsrProblem csr = CsrProblem::compile(instance.problem);
+  NumWorkspace ws;
+  ASSERT_TRUE(solve(csr, ws).converged);
+  add(ws);
+
+  sim::Rng rng(seed);
+  for (int k = 0; k < 5; ++k) csr.set_active(rng.index(csr.num_flows()), false);
+  ASSERT_TRUE(solve(csr, ws).converged);
+  add(ws);
+
+  NumSolverOptions incremental;
+  incremental.incremental = true;
+  for (int step = 0; step < 8; ++step) {
+    for (int t = 0; t < 4; ++t) {
+      const auto flow = rng.index(csr.num_flows());
+      csr.set_active(flow, !csr.active(flow));
+    }
+    ASSERT_TRUE(solve(csr, ws, incremental).converged) << "step " << step;
+    add(ws);
+  }
+
+  const CsrProblem fresh = CsrProblem::compile(instance.problem);
+  NumWorkspace parallel_ws;
+  NumSolverOptions parallel;
+  parallel.policy = ExecutionPolicy::parallel(4);
+  ASSERT_TRUE(solve(fresh, parallel_ws, parallel).converged);
+  add(parallel_ws);
+}
+
+TEST(CsrSolverFrozenBits, ReciprocalPricesAndRates) {
+  Fnv1a hash;
+  for (const std::uint64_t seed : {101u, 102u, 103u}) {
+    hash_solver_bits(make_random(1.0, 300, 40, seed), seed, hash);
+  }
+  EXPECT_EQ(hash.value(), 0x19b9857304cbf373ull) << std::hex << hash.value();
+}
+
+TEST(CsrSolverFrozenBits, MixedAlphaPricesAndRates) {
+  Fnv1a hash;
+  for (const std::uint64_t seed : {201u, 202u, 203u}) {
+    hash_solver_bits(make_mixed_alpha(300, 40, seed), seed, hash);
+  }
+  EXPECT_EQ(hash.value(), 0xa4a2424117977652ull) << std::hex << hash.value();
+}
+
+/// 2k flows shaped like mega-fct: all arrive at t = 0 on a 4x4x2 virtual
+/// leaf-spine, alpha = 1, incremental re-solves on a 1 ms grid.
+std::vector<double> mini_mega_fcts() {
+  const flowsim::VirtualLeafSpine fabric{.hosts_per_leaf = 4,
+                                         .leaves = 4,
+                                         .spines = 2,
+                                         .host_rate = 10e3,
+                                         .leaf_spine_rate = 40e3};
+  sim::Rng rng(7);
+  const auto batch = workload::batch_index_flows(
+      fabric.hosts(), 2000, workload::websearch_distribution(), rng);
+  static const AlphaFairUtility utility(1.0);
+  std::vector<flowsim::FlowSimFlow> flows;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    flows.push_back({0.0, static_cast<double>(batch[i].size_bytes),
+                     fabric.path(batch[i].src, batch[i].dst,
+                                 static_cast<std::uint64_t>(i + 1)),
+                     &utility});
+  }
+  flowsim::FlowSimOptions options;
+  options.resolve_interval_seconds = 1e-3;
+  options.horizon_seconds = 30.0;
+  options.solver.tolerance = 1e-5;
+  options.solver.incremental = true;
+  return flowsim::run_flow_sim(std::move(flows), fabric.capacities(), options)
+      .fct_seconds;
+}
+
+// ---------------------------------------------------------------------------
+// The certified-window search behind those bits.
+// ---------------------------------------------------------------------------
+
+// The memo in each link update is sound only because link_overloaded is
+// monotone in the candidate price on alpha == 1 rows, bit for bit.  Walking
+// nextafter across the threshold of random rows, the verdict flips once.
+TEST(CsrSolverWindow, ReciprocalRowVerdictFlipsOnceAcrossThreshold) {
+  int thresholds = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const RandomInstance instance = make_random(1.0, 200, 4, seed);
+    const CsrProblem csr = CsrProblem::compile(instance.problem);
+    sim::Rng rng(seed + 1000);
+    std::vector<double> path_price(csr.num_flows());
+    for (double& p : path_price) p = rng.uniform(0.0, 0.05);
+    const double price = rng.uniform(0.0, 0.01);
+    for (std::size_t l = 0; l < csr.num_links(); ++l) {
+      const auto overloaded = [&](double x) {
+        return link_overloaded(csr, l, path_price, price, x);
+      };
+      if (!overloaded(0.0)) continue;  // free link: no threshold above 0
+      // Bisect to adjacent doubles: overloaded at lo, not at hi.
+      double lo = 0.0;
+      double hi = 1.0;
+      while (overloaded(hi)) hi *= 2.0;
+      while (std::nextafter(lo, hi) < hi) {
+        const double mid = 0.5 * (lo + hi);
+        (overloaded(mid) ? lo : hi) = mid;
+      }
+      double x = lo;
+      for (int k = 0; k < 2048; ++k) x = std::nextafter(x, 0.0);
+      bool previous = overloaded(x);
+      ASSERT_TRUE(previous);
+      int flips = 0;
+      for (int k = 0; k < 4096; ++k) {
+        x = std::nextafter(x, std::numeric_limits<double>::infinity());
+        const bool verdict = overloaded(x);
+        if (verdict != previous) ++flips;
+        previous = verdict;
+      }
+      EXPECT_EQ(flips, 1) << "seed " << seed << " link " << l;
+      ++thresholds;
+    }
+  }
+  EXPECT_GT(thresholds, 40);
+}
+
+// Deterministic work guard: on a fixed alpha = 1 churn run, at the 1e-8
+// tolerance the flow-fidelity runners solve to, the seeded memo averages at
+// most 6 passes over a row per link update, cold first solve included
+// (about 4.6; plain bisection needs about 31 on the same run).
+TEST(CsrSolverWindow, ChurnRunAveragesAtMostSixRowPassesPerLinkUpdate) {
+  const RandomInstance instance = make_random(1.0, 2000, 200, 301);
+  CsrProblem csr = CsrProblem::compile(instance.problem);
+  for (std::size_t i = 0; i < csr.num_flows(); i += 2) {
+    csr.set_active(i, false);
+  }
+  NumWorkspace ws;
+  NumSolverOptions options;
+  options.incremental = true;
+  options.tolerance = 1e-8;
+  sim::Rng rng(302);
+  std::int64_t passes = 0;
+  std::int64_t updates = 0;
+  for (int step = 0; step < 100; ++step) {
+    for (int t = 0; t < 10; ++t) {
+      const auto flow = rng.index(csr.num_flows());
+      csr.set_active(flow, !csr.active(flow));
+    }
+    const SolveStats stats = solve(csr, ws, options);
+    ASSERT_TRUE(stats.converged) << "step " << step;
+    std::int64_t rows = 0;
+    for (std::size_t l = 0; l < csr.num_links(); ++l) {
+      if (!csr.link_active_flows(l).empty()) ++rows;
+    }
+    passes += stats.row_passes;
+    updates += stats.relaxations + stats.sweeps * rows;
+  }
+  ASSERT_GT(updates, 0);
+  const double per_update =
+      static_cast<double>(passes) / static_cast<double>(updates);
+  EXPECT_LE(per_update, 6.0);
+  RecordProperty("row_passes_per_link_update", std::to_string(per_update));
+}
+
+TEST(CsrSolverFrozenBits, MegaFctShapedCompletionTimes) {
+  const std::vector<double> fcts = mini_mega_fcts();
+  ASSERT_EQ(fcts.size(), 2000u);
+  for (const double fct : fcts) ASSERT_GT(fct, 0.0);
+  Fnv1a hash;
+  hash.add(fcts);
+  EXPECT_EQ(hash.value(), 0xa14db4e7f0b1dad7ull) << std::hex << hash.value();
 }
 
 }  // namespace

@@ -81,6 +81,25 @@ TEST(FlowSimEngineTest, ExactModeMatchesFluidOracleBitForBit) {
   EXPECT_EQ(engine.solver_sweeps, oracle.sweeps);
 }
 
+// Solver health: a re-solve cut off after one sweep of a cold problem has not
+// converged, and the result says so instead of dropping it.
+TEST(FlowSimEngineTest, UnconvergedResolvesAreReported) {
+  num::AlphaFairUtility u(1.0);
+  const std::vector<double> capacities = {9'000.0, 9'000.0};
+  FlowSimOptions cut_off;
+  cut_off.solver.max_sweeps = 1;
+  const FlowSimResult unhealthy =
+      flowsim::run_flow_sim(staggered_flows(&u), capacities, cut_off);
+  EXPECT_GT(unhealthy.solver_health.unconverged_solves, 0);
+  EXPECT_LE(unhealthy.solver_health.unconverged_solves, unhealthy.resolves);
+  EXPECT_GT(unhealthy.solver_health.max_violation, 0.0);
+
+  const FlowSimResult healthy =
+      flowsim::run_flow_sim(staggered_flows(&u), capacities, {});
+  EXPECT_EQ(healthy.solver_health.unconverged_solves, 0);
+  EXPECT_EQ(healthy.solver_health.max_violation, 0.0);
+}
+
 TEST(FlowSimEngineTest, GridModeUpperBoundsAndConvergesToExact) {
   num::AlphaFairUtility u(1.0);
   const auto flows = staggered_flows(&u);
