@@ -251,10 +251,9 @@ struct ControlPlaneRig {
 };
 
 // Price-tick cost vs link count: one synchronized 30 us interval advances
-// all links' xWI price state.  Batched: ONE timer event plus a sweep of the
-// SoA arrays in slot order.  before_ns tracks the legacy encoding (one
-// XwiLinkAgent timer event + virtual on_update + reschedule per link per
-// interval) recorded on the pre-refactor tree.
+// all links' xWI price state with ONE timer event plus a sweep of the SoA
+// arrays in slot order.  before_ns in BENCH_core.json records the cost with
+// one timer event, virtual update and reschedule per link per interval.
 void BM_ControlPlaneTick(benchmark::State& state) {
   const int num_links = static_cast<int>(state.range(0));
   ControlPlaneRig rig(num_links);

@@ -17,7 +17,7 @@ using namespace numfabric;
 
 int main() {
   // 1. The simulator clock and the NUMFabric wiring (WFQ queues + xWI
-  //    price agents, Table 2 default parameters).
+  //    link prices, Table 2 default parameters).
   sim::Simulator sim;
   transport::Fabric fabric(sim, {.scheme = transport::Scheme::kNumFabric});
 

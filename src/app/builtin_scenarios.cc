@@ -355,6 +355,14 @@ std::vector<ParamSpec> fidelity_params() {
            "same tolerance as full solves but not bit-identical"}};
 }
 
+/// A run's NUM solver health, emitted only when some solve did not
+/// converge, so healthy runs keep their output bytes.
+void emit_solver_health(RunContext& ctx, const num::SolverHealth& health) {
+  if (health.unconverged_solves == 0) return;
+  ctx.metrics.scalar("solver_unconverged", health.unconverged_solves);
+  ctx.metrics.scalar("solver_max_violation", health.max_violation);
+}
+
 // ---------------------------------------------------------------------------
 // convergence (Fig. 4a): semi-dynamic convergence-time CDF.
 // ---------------------------------------------------------------------------
@@ -368,6 +376,7 @@ void run_convergence(RunContext& ctx) {
   MetricTable& cdf = ctx.metrics.table("convergence_cdf",
                                        {"transport", "time_us", "fraction"});
 
+  num::SolverHealth health;
   for (const transport::Scheme scheme : transports_param(ctx)) {
     exp::SemiDynamicOptions options;
     apply_thread_context(ctx, options);
@@ -390,6 +399,7 @@ void run_convergence(RunContext& ctx) {
     options.alpha = ctx.options.get_double("alpha", 1.0);
     options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 1));
     const exp::SemiDynamicResult result = exp::run_semi_dynamic(options);
+    health.merge(result.solver_health);
 
     const std::string name = scheme_token(scheme);
     summary.add_row({name, result.events_measured, result.events_converged,
@@ -403,6 +413,7 @@ void run_convergence(RunContext& ctx) {
       }
     }
   }
+  emit_solver_health(ctx, health);
 }
 
 // ---------------------------------------------------------------------------
@@ -440,6 +451,7 @@ void run_rate_timeseries(RunContext& ctx) {
 
   ctx.metrics.scalar("transport", scheme_token(ctx.scheme));
   ctx.metrics.scalar("sim_events", result.sim_events);
+  emit_solver_health(ctx, result.solver_health);
   MetricTable& trace = ctx.metrics.table("trace", {"time_ms", "rate_bps"});
   for (const auto& [at_ms, rate] : result.trace) trace.add_row({at_ms, rate});
   MetricTable& expected =
@@ -475,6 +487,7 @@ void run_dynamic_deviation(RunContext& ctx) {
   MetricTable& totals = ctx.metrics.table(
       "flows", {"transport", "completed", "incomplete", "bdp_kb"});
 
+  num::SolverHealth health;
   for (const transport::Scheme scheme : transports_param(ctx)) {
     exp::DynamicWorkloadOptions options;
     apply_thread_context(ctx, options);
@@ -489,6 +502,7 @@ void run_dynamic_deviation(RunContext& ctx) {
     options.horizon =
         ms_time(ctx.options.get_double("horizon_ms", 20'000));
     const exp::DynamicWorkloadResult result = exp::run_dynamic_workload(options);
+    health.merge(result.solver_health);
 
     const std::string name = scheme_token(scheme);
     totals.add_row({name, static_cast<std::int64_t>(result.flows.size()),
@@ -509,6 +523,7 @@ void run_dynamic_deviation(RunContext& ctx) {
                      box.p25, box.p50, box.p75, box.whisker_high});
     }
   }
+  emit_solver_health(ctx, health);
 }
 
 // ---------------------------------------------------------------------------
@@ -670,14 +685,6 @@ void emit_fct_table(RunContext& ctx, int completed, int incomplete,
                percentile_or_nan(fct_us, 99),
                fct_us.empty() ? std::numeric_limits<double>::quiet_NaN()
                               : fct_us.back()});
-}
-
-/// A flow-fidelity run's solver health, emitted only when some re-solve did
-/// not converge, so healthy runs keep their output bytes.
-void emit_solver_health(RunContext& ctx, const num::SolverHealth& health) {
-  if (health.unconverged_solves == 0) return;
-  ctx.metrics.scalar("solver_unconverged", health.unconverged_solves);
-  ctx.metrics.scalar("solver_max_violation", health.max_violation);
 }
 
 void emit_traffic_result(RunContext& ctx, transport::Scheme scheme,
@@ -973,6 +980,7 @@ void run_sensitivity(RunContext& ctx) {
            : 0.0,
        percentile_or_nan(result.convergence_times_us, 50),
        percentile_or_nan(result.convergence_times_us, 95)});
+  emit_solver_health(ctx, result.solver_health);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@
 //    sacrificed while each burst drains.
 //
 // Both run any transport scheme; price convergence is only defined for
-// NUMFabric (xWI link agents) and reports NaN elsewhere.
+// NUMFabric (xWI link prices) and reports NaN elsewhere.
 #pragma once
 
 #include <cstddef>
@@ -83,7 +83,7 @@ struct OversubFabricResult {
   /// Microseconds from the wave's launch until every core link's xWI price
   /// re-stabilized.  Sampling runs until the experiment ends (wave drained
   /// and measurement window closed, or the horizon); NaN when the scheme has
-  /// no xWI agents or prices never held still by then.
+  /// no xWI prices or prices never held still by then.
   double price_convergence_us = 0;
 
   std::uint64_t sim_events = 0;

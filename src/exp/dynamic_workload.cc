@@ -93,6 +93,7 @@ DynamicWorkloadResult run_dynamic_workload(const DynamicWorkloadOptions& options
   result.bdp_bytes =
       built.host_rate_bps * sim::to_seconds(built.base_rtt) / 8.0;
   result.sim_events = sim.events_executed();
+  result.solver_health = oracle.solver_health;
   // The fluid oracle has no propagation delay; every real flow pays at
   // least one fabric traversal.  Charging the oracle the base RTT keeps the
   // "ideal rate" meaningful for flows of a few packets (otherwise the

@@ -51,8 +51,8 @@ struct DynamicWorkloadResult {
   int incomplete = 0;
   double bdp_bytes = 0;  // for size binning
   std::uint64_t sim_events = 0;
-  /// Flow fidelity: re-solves that did not converge (zero at packet
-  /// fidelity and for a healthy run).
+  /// NUM solves that did not converge: the fluid oracle's, plus the flow
+  /// engine's at flow fidelity (zero for a healthy run).
   num::SolverHealth solver_health;
 };
 

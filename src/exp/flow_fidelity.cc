@@ -31,18 +31,21 @@ flowsim::FlowSimOptions engine_options(double resolve_interval_seconds,
 
 /// Exact-system FCTs for the ideal-rate denominator.  When the engine ran
 /// exact its own FCTs *are* the exact system; a grid run pays one extra
-/// oracle pass (cheap at the scales that cross-validate against packets).
+/// oracle pass (cheap at the scales that cross-validate against packets),
+/// whose solves are folded into `health`.
 std::vector<double> exact_fcts(const flowsim::FlowSimResult& run,
                                double resolve_interval_seconds,
                                const std::vector<num::FluidFlow>& fluid_flows,
                                const std::vector<double>& capacities,
-                               int solver_threads) {
+                               int solver_threads, num::SolverHealth& health) {
   if (resolve_interval_seconds <= 0) return run.fct_seconds;
   num::NumSolverOptions solver_options;
   solver_options.tolerance = 1e-8;
   solver_options.policy = num::ExecutionPolicy::parallel(solver_threads);
-  return num::fluid_fct_oracle(fluid_flows, capacities, solver_options)
-      .fct_seconds;
+  num::FluidFctResult oracle =
+      num::fluid_fct_oracle(fluid_flows, capacities, solver_options);
+  health.merge(oracle.solver_health);
+  return std::move(oracle.fct_seconds);
 }
 
 }  // namespace
@@ -97,12 +100,11 @@ DynamicWorkloadResult run_dynamic_workload_flow(
       std::move(engine_flows), capacities,
       engine_options(resolve_interval_seconds, sim::to_seconds(options.horizon),
                      options.solver_threads, incremental));
-  const std::vector<double> ideal =
-      exact_fcts(run, resolve_interval_seconds, fluid_flows, capacities,
-                 options.solver_threads);
-
   DynamicWorkloadResult result;
   result.solver_health = run.solver_health;
+  const std::vector<double> ideal =
+      exact_fcts(run, resolve_interval_seconds, fluid_flows, capacities,
+                 options.solver_threads, result.solver_health);
   result.bdp_bytes =
       built.host_rate_bps * sim::to_seconds(built.base_rtt) / 8.0;
   result.sim_events = 0;

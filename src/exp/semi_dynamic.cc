@@ -170,7 +170,7 @@ std::vector<double> Driver::oracle_targets_bps() {
   solver_options.tolerance = 1e-10;
   solver_options.initial_prices = warm_prices_;  // empty on the first event
   solver_options.policy = num::ExecutionPolicy::parallel(options_.solver_threads);
-  num::solve(csr, solver_workspace_, solver_options);
+  result_.solver_health.add(num::solve(csr, solver_workspace_, solver_options));
   warm_prices_.assign(solver_workspace_.prices().begin(),
                       solver_workspace_.prices().end());
   for (std::size_t i = 0; i < flows.size(); ++i) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/topology.h"
+#include "num/num_solver.h"
 #include "stats/convergence.h"
 #include "transport/fabric.h"
 
@@ -68,6 +69,8 @@ struct SemiDynamicResult {
 
   std::uint64_t sim_events = 0;
   std::uint64_t total_queue_drops = 0;
+  /// Oracle target solves that did not converge (zero for a healthy run).
+  num::SolverHealth solver_health;
 };
 
 SemiDynamicResult run_semi_dynamic(const SemiDynamicOptions& options);

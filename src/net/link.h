@@ -2,9 +2,10 @@
 //
 // Store-and-forward: a packet occupies the transmitter for size*8/rate, then
 // arrives at the peer node `delay` later.  Per-link protocol state (xWI
-// prices, DGD prices, RCP* fair-share rates) hangs off the link as a
-// LinkAgent, mirroring how the paper attaches per-egress-port computation to
-// switches (Fig. 3).
+// prices, DGD prices, RCP* fair-share rates) lives in a
+// transport::ControlPlane; the link's forwarding path records observations
+// into it and stamps its per-link value into packet headers, mirroring how
+// the paper attaches per-egress-port computation to switches (Fig. 3).
 #pragma once
 
 #include <cstdint>
@@ -19,22 +20,6 @@
 namespace numfabric::net {
 
 class Node;
-
-/// Per-link hook for scheme-specific state machines.  This is the legacy
-/// object-per-link encoding (one virtual agent, one timer event per link);
-/// production fabrics wire links into the batched transport::ControlPlane
-/// via attach_control() instead, and the agent classes remain as reference
-/// implementations the parity tests compare the batched sweep against.
-class LinkAgent {
- public:
-  virtual ~LinkAgent() = default;
-
-  /// Called before the packet is offered to the queue.
-  virtual void on_enqueue(const Packet& packet) { (void)packet; }
-
-  /// Called when the packet begins serialization (may stamp header fields).
-  virtual void on_dequeue(Packet& packet) { (void)packet; }
-};
 
 /// What the inline control-plane hooks do on this link's hot path (which
 /// observation the data path records and which packet field the per-link
@@ -52,8 +37,8 @@ enum class ControlStamp : std::uint8_t {
 /// Dense per-link control-plane state, indexed by each link's slot id.  The
 /// owning transport::ControlPlane sizes the arrays once at attach time (they
 /// never move afterwards); links write observations straight into them from
-/// the forwarding hot path — an index-addressed store, no virtual dispatch —
-/// and the single batched tick sweeps them in slot order.
+/// the forwarding hot path — an index-addressed store — and the single
+/// periodic tick sweeps them in slot order.
 struct LinkControlArrays {
   const double* stamp = nullptr;         // per-DATA-packet price / feedback
   double* min_residual = nullptr;        // xWI: min over DATA enqueues
@@ -88,10 +73,7 @@ class Link {
   Link* twin() const { return twin_; }
   void set_twin(Link* twin) { twin_ = twin; }
 
-  void set_agent(std::unique_ptr<LinkAgent> agent) { agent_ = std::move(agent); }
-  LinkAgent* agent() const { return agent_.get(); }
-
-  /// Wires this link into a batched control plane: the forwarding hot path
+  /// Wires this link into a control plane: the forwarding hot path
   /// reads/writes `arrays` at index `slot` according to `mode`.  The caller
   /// guarantees the arrays outlive the link's last forwarded packet and stay
   /// at a fixed address.  Pass kNone/nullptr to detach.
@@ -118,8 +100,7 @@ class Link {
   std::unique_ptr<Queue> queue_;
   Node* dst_;
   Link* twin_ = nullptr;
-  std::unique_ptr<LinkAgent> agent_;
-  // Batched control plane wiring (see attach_control).
+  // Control plane wiring (see attach_control).
   const LinkControlArrays* control_ = nullptr;
   std::uint32_t control_slot_ = 0;
   ControlStamp control_mode_ = ControlStamp::kNone;

@@ -9,19 +9,19 @@ namespace {
 void validate(const NumProblem& problem) {
   const std::size_t num_flows = problem.utilities.size();
   if (problem.flow_links.size() != num_flows) {
-    throw std::invalid_argument("solve_num: utilities/flow_links size mismatch");
+    throw std::invalid_argument("CsrProblem::compile: utilities/flow_links size mismatch");
   }
   for (const auto* u : problem.utilities) {
-    if (u == nullptr) throw std::invalid_argument("solve_num: null utility");
+    if (u == nullptr) throw std::invalid_argument("CsrProblem::compile: null utility");
   }
   for (double c : problem.capacities) {
-    if (c <= 0) throw std::invalid_argument("solve_num: capacity <= 0");
+    if (c <= 0) throw std::invalid_argument("CsrProblem::compile: capacity <= 0");
   }
   for (const auto& links : problem.flow_links) {
-    if (links.empty()) throw std::invalid_argument("solve_num: empty path");
+    if (links.empty()) throw std::invalid_argument("CsrProblem::compile: empty path");
     for (int l : links) {
       if (l < 0 || static_cast<std::size_t>(l) >= problem.capacities.size()) {
-        throw std::invalid_argument("solve_num: bad link index");
+        throw std::invalid_argument("CsrProblem::compile: bad link index");
       }
     }
   }

@@ -13,9 +13,9 @@
 //
 // compile() unpacks the pointer-heavy NumProblem into flat arrays:
 //  * flow->link and link->flow incidence in CSR form (offsets + flat index
-//    arrays) — the link->flow lists are in increasing flow order, which is
-//    byte-for-byte the summation order the legacy solve_num used, so load
-//    accumulation rounds identically;
+//    arrays) — the link->flow lists are in increasing flow order, the one
+//    summation order every load sum uses, so load accumulation rounds
+//    identically wherever it happens;
 //  * per-flow AlphaFairUtility parameters as dense SoA (weight, -1/alpha),
 //    so the solver's inner loop runs closed-form arithmetic with no virtual
 //    dispatch.  Flows whose utility is not a positive-alpha AlphaFairUtility
@@ -88,8 +88,9 @@ struct ExecutionPolicy {
 
 class CsrProblem {
  public:
-  /// Validates and compiles `problem` (throws std::invalid_argument exactly
-  /// where the legacy solve_num did).  All flows start active.  The utility
+  /// Validates and compiles `problem` (throws std::invalid_argument on a
+  /// size mismatch, a null utility, a non-positive capacity, an empty path
+  /// or a bad link index).  All flows start active.  The utility
   /// objects are borrowed; keep them alive for the CsrProblem's lifetime.
   static CsrProblem compile(const NumProblem& problem);
   /// The same, consuming `problem`: its nested paths are released as soon as

@@ -71,6 +71,7 @@ FluidFctResult fluid_fct_oracle(const std::vector<FluidFlow>& flows,
     warm.initial_prices.clear();
     ++result.solves;
     result.sweeps += stats.sweeps;
+    result.solver_health.add(stats);
     const std::span<const double> rates = workspace.rates();
 
     // Advance to the next event: first completion or next arrival.

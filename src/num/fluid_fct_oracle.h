@@ -36,6 +36,9 @@ struct FluidFctResult {
   /// dual barely moves), so every re-solve warm-starts from the previous
   /// solution; this counter is what that saves.
   std::int64_t sweeps = 0;
+  /// Solves that stopped at max_sweeps without converging; all zero for a
+  /// healthy run.
+  SolverHealth solver_health;
 };
 
 /// Simulates the fluid system.  `capacities` are in rate units (Mbps).

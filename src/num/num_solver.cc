@@ -160,8 +160,8 @@ void seed_window(const CsrProblem& problem, std::size_t l,
 /// bit-identically while the cost is O(active-on-link), not O(history).
 ///
 /// The bracket, the doubling loop, price_resolution and the frozen-bracket
-/// exit are line-for-line the legacy solve_num bisection, so the written
-/// price is bitwise the legacy one.  The accelerations are bit-exact:
+/// exit define the written price as the plain bisection's (the
+/// CsrSolverFrozenBits constants lock it).  The accelerations are bit-exact:
 ///  * link_overloaded's load sum exits early once over capacity: terms are
 ///    non-negative and correctly rounded addition is monotone, so the
 ///    verdict is the full sum's (which is also why a Newton pass's full sum
@@ -228,7 +228,7 @@ double update_link(const CsrProblem& problem, std::size_t l,
     while (overloaded(hi)) {
       lo = hi;
       hi *= 2.0;
-      if (hi > 1e30) throw std::logic_error("solve_num: price diverged");
+      if (hi > 1e30) throw std::logic_error("num::solve: price diverged");
     }
     for (int iter = 0; iter < 100; ++iter) {
       if (price_resolution > 0.0 && hi - lo <= price_resolution) break;
@@ -270,7 +270,7 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
   bool warm;
   if (!options.initial_prices.empty()) {
     if (options.initial_prices.size() != num_links) {
-      throw std::invalid_argument("solve_num: initial_prices size mismatch");
+      throw std::invalid_argument("num::solve: initial_prices size mismatch");
     }
     sized(prices, num_links);
     std::copy(options.initial_prices.begin(), options.initial_prices.end(),
@@ -506,20 +506,6 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
           std::chrono::steady_clock::now() - wall_start)
           .count());
   return stats;
-}
-
-NumSolution solve_num(const NumProblem& problem,
-                      const NumSolverOptions& options) {
-  const CsrProblem csr = CsrProblem::compile(problem);
-  NumWorkspace workspace;
-  const SolveStats stats = solve(csr, workspace, options);
-  NumSolution solution;
-  solution.rates.assign(workspace.rates().begin(), workspace.rates().end());
-  solution.prices.assign(workspace.prices().begin(), workspace.prices().end());
-  solution.sweeps = stats.sweeps;
-  solution.converged = stats.converged;
-  solution.max_violation = stats.max_violation;
-  return solution;
 }
 
 double kkt_residual(const NumProblem& problem, const std::vector<double>& rates,

@@ -10,9 +10,11 @@
 namespace numfabric::transport {
 namespace {
 
-// RCP* clamps, identical to the legacy RcpLinkAgent (see rcp_link_agent.cc
-// for the rationale: R must be able to exceed C for Eq. 16's composition,
-// and the per-update gain is bounded to keep large transients stable).
+// RCP* keeps R within [1e-4 C, 1e3 C]: Eq. 16's composition needs links to
+// advertise MORE than C at equilibrium (a lone flow over two equal links
+// reaches C only when each advertises ~2C).  The per-update gain is bounded
+// because with Table 2's a = 3.6 a large mismatch would make 1 + gain
+// negative and flip R's sign; the clamp does not move equilibria.
 constexpr double kRcpMinShareFraction = 1e-4;
 constexpr double kRcpMaxShareFactor = 1e3;
 constexpr double kRcpMaxGain = 0.3;
@@ -81,7 +83,7 @@ void ControlPlane::attach_links(net::Topology& topo) {
       mode = net::ControlStamp::kFeedback;
       fair_share_bps_.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
-        // Same start as the legacy agent: advertise the link's own capacity.
+        // Start by advertising the link's own capacity.
         fair_share_bps_[i] = links_[i]->rate_bps();
         stamp_[i] = std::pow(num::to_rate_units(fair_share_bps_[i]),
                              -params_.rcp.alpha);
@@ -126,11 +128,11 @@ void ControlPlane::sweep() {
   stats.links_swept += links_.size();
 }
 
-// Fig. 3's per-interval price update, link-for-link identical to
-// XwiLinkAgent::on_update: a backlogged link counts as fully utilized (byte
-// counting alone undercounts by up to a packet per interval), a quiet
-// interval contributes min_res = 0 so only the under-utilization term acts,
-// and the new price is beta-averaged with the old.
+// Fig. 3's per-interval xWI price update (Eqs. 10-11): a backlogged link
+// counts as fully utilized (byte counting alone undercounts by up to a
+// packet per interval), a quiet interval contributes min_res = 0 so only
+// the under-utilization term acts, and the new price is beta-averaged with
+// the old.
 void ControlPlane::sweep_xwi() {
   const double eta = params_.numfabric.eta;
   const double beta = params_.numfabric.beta;
@@ -154,7 +156,7 @@ void ControlPlane::sweep_xwi() {
   }
 }
 
-// Eq. 14, identical to DgdLinkAgent::on_update.
+// Eq. 14: p <- [p + a (y - C) + b q]_+, rates in Mbps, queue in bytes.
 void ControlPlane::sweep_dgd() {
   const double a = params_.dgd.a;
   const double b = params_.dgd.b;
@@ -171,9 +173,9 @@ void ControlPlane::sweep_dgd() {
   }
 }
 
-// Eq. 15, identical to RcpLinkAgent::on_update — plus the batching dividend:
-// the per-packet stamp R^-alpha is one std::pow per link per tick here,
-// where the legacy agent paid it on every data dequeue.
+// Eq. 15, with the flows' average RTT d approximated as base RTT + local
+// queueing delay.  The per-packet stamp R^-alpha is one std::pow per link
+// per tick, not one per data dequeue.
 void ControlPlane::sweep_rcp() {
   const double t = interval_seconds_;
   const double alpha = params_.rcp.alpha;

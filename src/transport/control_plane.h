@@ -1,30 +1,24 @@
-// Batched control plane: one synchronized price tick over dense SoA state.
+// Control plane: one synchronized price tick over dense SoA state.
 //
 // NUMFabric's xWI layer (Fig. 3) — and the DGD / RCP* comparison schemes —
 // are defined as *synchronized* per-interval updates of per-link state: the
 // paper assumes PTP-grade clock sync and has every switch recompute at the
-// same instants (§5, Table 2: every 30 us).  The natural object-per-link
-// encoding (one LinkAgent with its own timer each) costs N heap events, N
-// closure dispatches and 2 virtual calls per forwarded packet; on a 144-host
-// leaf-spine that control churn rivals the allocation-free data path.
+// same instants (§5, Table 2: every 30 us).
 //
-// ControlPlane is the batched replacement.  It owns ALL per-link agent state
-// for the active scheme in structure-of-arrays form — prices, residual
-// observations, serviced bytes, RCP* fair shares, the per-packet stamps —
-// and drives the fabric from ONE sim::PeriodicTick: every interval a single
-// event sweeps links in slot order.  The forwarding hot path reads/writes
-// the arrays through an index baked into each Link (net::LinkControlArrays;
-// no virtual dispatch), and the per-packet RCP* stamp R^-alpha is computed
-// once per tick instead of one std::pow per packet.
+// ControlPlane owns ALL per-link state for the active scheme in
+// structure-of-arrays form — prices, residual observations, serviced bytes,
+// RCP* fair shares, the per-packet stamps — and drives the fabric from ONE
+// sim::PeriodicTick: every interval a single event sweeps links in slot
+// order.  The forwarding hot path reads/writes the arrays through an index
+// baked into each Link (net::LinkControlArrays; no virtual dispatch), and
+// the per-packet RCP* stamp R^-alpha is computed once per tick instead of
+// one std::pow per packet.
 //
-// Determinism contract: slots are assigned in topology link order (the order
-// Fabric::attach_agents used to construct agents), the sweep visits slots
-// 0..N-1 in that order, and the tick fires on the same grid timestamps with
-// the same same-timestamp FIFO position as the legacy agents' events.  Those
-// events always formed a contiguous run in link order (each agent re-armed
-// immediately after its update, so their sequence numbers stayed contiguous
-// by induction), which is why collapsing them into one event preserves
-// packet-level behavior bit-for-bit — the parity test locks this.
+// Determinism contract: slots are assigned in topology link order, the
+// sweep visits slots 0..N-1 in that order, and the tick keeps the
+// same-timestamp FIFO position its reschedule earned (sim::PeriodicTick).
+// tests/control_plane_test.cc freezes the resulting per-update prices,
+// per-packet stamps and whole-run incast FCTs as exact constants.
 //
 // Lifetime: the Fabric owns the ControlPlane; the Topology owns the Links.
 // Links write into the arrays only while forwarding, so the usual
@@ -83,7 +77,7 @@ class ControlPlane {
   /// Current per-link prices in slot order — xWI prices (kNumFabric) or DGD
   /// prices (kDgd).  Index with net::Link::control_slot().  The span stays
   /// valid (and its values live) for the ControlPlane's lifetime; reading it
-  /// replaces N virtual agent->price() calls with one contiguous scan.
+  /// is one contiguous scan.
   std::span<const double> snapshot_prices() const { return price_; }
 
   /// Current RCP* advertised fair shares in slot order, bps (kRcpStar).
@@ -109,7 +103,7 @@ class ControlPlane {
   Params params_;
   double interval_seconds_ = 0;
 
-  // Per-link agent state in SoA form, indexed by slot == topology link
+  // Per-link state in SoA form, indexed by slot == topology link
   // order.  Sized once at attach; never moves afterwards (links hold raw
   // pointers into the arrays via arrays_).
   std::vector<net::Link*> links_;

@@ -1,11 +1,12 @@
-// Fabric: per-scheme wiring of queues, link agents and flow endpoints.
+// Fabric: per-scheme wiring of queues, per-link control state and flow
+// endpoints.
 //
 // Usage:
 //   sim::Simulator sim;
 //   transport::Fabric fabric(sim, {.scheme = Scheme::kNumFabric});
 //   net::Topology topo(sim);
 //   auto ls = net::build_leaf_spine(topo, {}, fabric.queue_factory());
-//   fabric.attach_agents(topo);            // per-link xWI/DGD/RCP state
+//   fabric.attach_agents(topo);            // per-link xWI/DGD/RCP* state
 //   fabric.add_flow(spec);                 // schedules start_time
 //   sim.run_until(sim::millis(50));
 //
@@ -48,11 +49,6 @@ struct FabricOptions {
   /// NUMFabric only: > 0 replaces exact STFQ with the §8 multi-queue
   /// approximation using this many weight bands (ablation).
   int discrete_wfq_bands = 0;
-  /// Test-only escape hatch: attach the legacy per-link agent objects (one
-  /// timer event per link per interval, virtual hooks) instead of the
-  /// batched ControlPlane.  The parity test runs both wirings over the same
-  /// workload and asserts identical packet-level behavior.
-  bool legacy_link_agents = false;
 };
 
 class Fabric {
@@ -69,23 +65,18 @@ class Fabric {
   /// tiers differently.  pFabric keeps its own shallow queues regardless.
   net::QueueFactory queue_factory(std::size_t capacity_bytes) const;
 
-  /// Attaches the scheme's per-link control state: builds the batched
-  /// ControlPlane over every link (or, with legacy_link_agents, the old
-  /// object-per-link agents).  Call once, after the topology is fully built
-  /// and before flows start.
+  /// Attaches the scheme's per-link control state: builds the ControlPlane
+  /// over every link.  Call once, after the topology is fully built and
+  /// before flows start.
   void attach_agents(net::Topology& topo);
 
-  /// The batched control plane, once attach_agents has run.  nullptr for
-  /// schemes without per-link control state (DCTCP, pFabric) and in
-  /// legacy_link_agents mode.
+  /// The control plane, once attach_agents has run.  nullptr for schemes
+  /// without per-link control state (DCTCP, pFabric).
   const ControlPlane* control_plane() const { return control_plane_.get(); }
 
   /// Capability query: does this fabric publish per-link xWI prices through
-  /// the batched ControlPlane's snapshot span?  True only for the NUMFabric
-  /// scheme with the batched wiring (not legacy_link_agents).  Price
-  /// instrumentation must key off this instead of probing link agents —
-  /// a NUMFabric run whose prices are unreachable should fail loudly, not
-  /// silently skip samples.
+  /// the ControlPlane's snapshot span?  True for the NUMFabric scheme once
+  /// attach_agents has run.
   bool exposes_price_snapshot() const {
     return control_plane_ != nullptr &&
            control_plane_->scheme() == Scheme::kNumFabric;

@@ -18,7 +18,6 @@
 //    invariant, and fall back to full solves when the workspace binding is
 //    stale (tier 2);
 //  * kkt_residual's flow-major load pass is bitwise the legacy nested scan;
-//  * the deprecated solve_num wrapper reproduces the new API bit-for-bit;
 //  * frozen bits: prices, rates and a mega-fct-shaped FCT vector hash to
 //    constants recorded before the certified-window link update landed;
 //  * the link predicate flips exactly once across its threshold on alpha == 1
@@ -579,21 +578,6 @@ TEST(CsrSolverTest, SetActiveMatchesRecompiledSubproblem) {
   for (const std::size_t flow : dropped) {
     EXPECT_EQ(patched_ws.rates()[flow], 0.0);
   }
-}
-
-// The deprecated wrapper is a thin adapter: identical results, bit for bit.
-TEST(CsrSolverTest, SolveNumWrapperMatchesNewApi) {
-  const RandomInstance instance = make_random(2.0, 40, 9, 41);
-  const NumSolution legacy = solve_num(instance.problem);
-
-  const CsrProblem csr = CsrProblem::compile(instance.problem);
-  NumWorkspace ws;
-  const SolveStats stats = solve(csr, ws);
-  EXPECT_EQ(legacy.sweeps, stats.sweeps);
-  EXPECT_EQ(legacy.converged, stats.converged);
-  EXPECT_EQ(legacy.max_violation, stats.max_violation);
-  EXPECT_TRUE(bitwise_equal(legacy.prices, ws.prices()));
-  EXPECT_TRUE(bitwise_equal(legacy.rates, ws.rates()));
 }
 
 // Explicit initial_prices must match the link count exactly (legacy

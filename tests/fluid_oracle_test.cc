@@ -120,6 +120,27 @@ TEST(FluidFctOracleTest, WarmStartPreservesPhysicsAndSavesSweeps) {
       << ")";
 }
 
+TEST(FluidFctOracleTest, UnconvergedSolvesAreReported) {
+  // The parking lot, cold, cut off after one sweep per solve: the first
+  // solve cannot reach the optimum, and the result must say so.
+  AlphaFairUtility u(1.0);
+  std::vector<FluidFlow> flows(3);
+  flows[0] = {0.0, 10e6, {0, 1}, &u};
+  flows[1] = {0.0, 10e6, {0}, &u};
+  flows[2] = {0.0, 10e6, {1}, &u};
+  const std::vector<double> capacities = {9'000.0, 9'000.0};
+  NumSolverOptions cut_off;
+  cut_off.max_sweeps = 1;
+  const auto unhealthy = fluid_fct_oracle(flows, capacities, cut_off);
+  EXPECT_GT(unhealthy.solver_health.unconverged_solves, 0);
+  EXPECT_LE(unhealthy.solver_health.unconverged_solves, unhealthy.solves);
+  EXPECT_GT(unhealthy.solver_health.max_violation, 0.0);
+
+  const auto healthy = fluid_fct_oracle(flows, capacities);
+  EXPECT_EQ(healthy.solver_health.unconverged_solves, 0);
+  EXPECT_EQ(healthy.solver_health.max_violation, 0.0);
+}
+
 TEST(FluidFctOracleTest, RejectsMalformedFlows) {
   AlphaFairUtility u(1.0);
   std::vector<FluidFlow> flows(1);

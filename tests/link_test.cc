@@ -1,4 +1,4 @@
-// Link serialization/propagation timing and agent hook tests.
+// Link serialization/propagation timing tests.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -81,31 +81,6 @@ TEST(LinkTest, RateChangeAppliesToNextPacket) {
   ASSERT_EQ(sink.arrivals.size(), 2u);
   EXPECT_EQ(sink.arrivals[0].at, 1200);       // first at the old rate
   EXPECT_EQ(sink.arrivals[1].at, 1200 + 600);  // second at 20 Gbps
-}
-
-class CountingAgent : public LinkAgent {
- public:
-  void on_enqueue(const Packet&) override { ++enqueues; }
-  void on_dequeue(Packet& p) override {
-    ++dequeues;
-    p.path_len += 1;  // agents may stamp headers
-  }
-  int enqueues = 0;
-  int dequeues = 0;
-};
-
-TEST(LinkTest, AgentHooksFireAndMayStampHeaders) {
-  sim::Simulator sim;
-  SinkHost sink(sim, 0);
-  Link link(sim, "l", 10e9, 0, std::make_unique<DropTailQueue>(1'000'000), &sink);
-  auto agent = std::make_unique<CountingAgent>();
-  CountingAgent* raw = agent.get();
-  link.set_agent(std::move(agent));
-  link.send(data_packet(100));
-  link.send(data_packet(100));
-  sim.run();
-  EXPECT_EQ(raw->enqueues, 2);
-  EXPECT_EQ(raw->dequeues, 2);
 }
 
 TEST(LinkTest, RejectsBadConstruction) {
