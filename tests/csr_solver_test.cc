@@ -9,6 +9,7 @@
 //    reciprocal fast path rests on;
 //  * warm re-solves against a reused workspace are allocation-free
 //    (measured by the allocs_solver_workspace substrate counter);
+//  * compile(NumProblem&&) solves bit for bit like compile(const&);
 //  * a set_active row patch solves exactly the freshly compiled subproblem;
 //  * compacted active rows match a full-row scan value-for-value, and
 //    randomized activation patterns solve bit-identically to recompiled
@@ -577,6 +578,32 @@ TEST(CsrSolverTest, SetActiveMatchesRecompiledSubproblem) {
   }
   for (const std::size_t flow : dropped) {
     EXPECT_EQ(patched_ws.rates()[flow], 0.0);
+  }
+}
+
+// compile(NumProblem&&) takes the paths instead of copying them; what it
+// compiles must solve bit for bit like compile(const NumProblem&), on
+// reciprocal (alpha == 1) and pow rows alike.
+TEST(CsrSolverTest, CompileFromRvalueMatchesCompileFromCopy) {
+  for (const double alpha : {1.0, 2.0, 0.5}) {
+    const RandomInstance instance = make_random(alpha, 40, 9, 41);
+    NumProblem moved = instance.problem;
+    const CsrProblem copied_csr = CsrProblem::compile(instance.problem);
+    const CsrProblem moved_csr = CsrProblem::compile(std::move(moved));
+    ASSERT_EQ(moved_csr.num_flows(), copied_csr.num_flows());
+    ASSERT_EQ(moved_csr.num_links(), copied_csr.num_links());
+
+    NumWorkspace copied_ws;
+    NumWorkspace moved_ws;
+    const SolveStats copied = solve(copied_csr, copied_ws);
+    const SolveStats stats = solve(moved_csr, moved_ws);
+    EXPECT_EQ(stats.sweeps, copied.sweeps) << "alpha " << alpha;
+    EXPECT_EQ(stats.converged, copied.converged) << "alpha " << alpha;
+    EXPECT_EQ(stats.max_violation, copied.max_violation) << "alpha " << alpha;
+    EXPECT_TRUE(bitwise_equal(moved_ws.prices(), copied_ws.prices()))
+        << "alpha " << alpha;
+    EXPECT_TRUE(bitwise_equal(moved_ws.rates(), copied_ws.rates()))
+        << "alpha " << alpha;
   }
 }
 
