@@ -6,7 +6,7 @@
 // bandwidth unclaimed), worst for small flows.
 //
 // Thin wrapper over the scenario registry; equivalent to
-//   numfabric_run --scenario=dynamic-deviation workload=websearch \
+//   numfabric_run --scenario=dynamic-deviation workload=websearch
 //                 transports=numfabric,dgd,rcp
 // followed by the same with workload=enterprise.
 #include "app/driver.h"

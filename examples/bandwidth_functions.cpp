@@ -29,7 +29,7 @@ int main() {
   std::printf("capacity  production(meas/expect)  batch(meas/expect)  [Gbps]\n");
   for (double capacity_gbps : {4.0, 8.0, 12.0}) {
     sim::Simulator sim;
-    transport::Fabric fabric(sim, {.scheme = transport::Scheme::kNumFabric});
+    transport::Fabric fabric(sim, {});  // NUMFabric is the default scheme
     net::Topology topo(sim);
     const net::Dumbbell dumbbell =
         net::build_dumbbell(topo, 2, 100e9, capacity_gbps * 1e9, sim::micros(2),

@@ -23,7 +23,7 @@ struct Outcome {
 
 Outcome run(bool fct_policy) {
   sim::Simulator sim;
-  transport::Fabric fabric(sim, {.scheme = transport::Scheme::kNumFabric});
+  transport::Fabric fabric(sim, {});  // NUMFabric is the default scheme
   net::Topology topo(sim);
   const net::Dumbbell dumbbell = net::build_dumbbell(
       topo, 8, 40e9, 10e9, sim::micros(2), fabric.queue_factory());

@@ -4,20 +4,27 @@
 // web-search and data-mining traces).
 //
 // Conventions shared by every scenario:
+//  * a scenario is its declared knobs (ParamSpec) plus a body that reads
+//    them through Knobs, so each default is written once, in its
+//    declaration.  Declarations are built from the run's exp::Scale:
+//    --describe shows the quick-scale defaults, --full the paper-scale ones;
+//  * the fabric, fidelity and semi-dynamic population facets are each
+//    declared by one function and read by one function;
 //  * the driver's --transport switch arrives as RunContext::scheme;
 //    comparative scenarios additionally take `transports=` (comma list) and
 //    default it to that single scheme;
-//  * quick-scale defaults come from exp::Scale and inflate to paper scale
-//    under NUMFABRIC_FULL=1 (RunContext::full_scale);
 //  * results go through MetricWriter only — the driver decides CSV vs JSON.
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/scenario.h"
@@ -32,18 +39,22 @@
 #include "exp/trace_replay.h"
 #include "exp/traffic_experiment.h"
 #include "stats/summary.h"
+#include "transport/numfabric/config.h"
 #include "workload/size_distribution.h"
 #include "workload/trace.h"
 
 namespace numfabric::app {
 namespace {
 
-sim::TimeNs ms_time(double ms) {
-  return static_cast<sim::TimeNs>(ms * 1e6);
+/// Declared-default text of a value that lives in a struct (6 -> "6").
+std::string number(double value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
 }
 
-exp::Scale scale_for(const RunContext& ctx) {
-  return ctx.full_scale ? exp::full_scale() : exp::quick_scale();
+std::string millis_text(sim::TimeNs time) {
+  return std::to_string(time / sim::kMillisecond);
 }
 
 // ---------------------------------------------------------------------------
@@ -53,43 +64,27 @@ exp::Scale scale_for(const RunContext& ctx) {
 // 1500 B packets.  modern is a 2020s fabric: 400G hosts, 1600G spines,
 // 50 ns hops (sub-us RTTs) and 4 KB jumbo-ish packets.  The preset only
 // moves *defaults* — any explicit knob (host_gbps=, core_delay_us=, ...)
-// still wins — so classic runs are byte-identical to pre-preset output.
+// still wins — and classic's are the declared ones, so classic runs are
+// byte-identical to pre-preset output.
 // ---------------------------------------------------------------------------
 
-enum class Preset { kClassic, kModern };
-
-struct PresetDefaults {
+struct Preset {
   double host_gbps;
   double spine_gbps;
   double delay_us;
   std::uint32_t packet_bytes;
 };
+constexpr Preset kClassic{10.0, 40.0, 2.0, 1500};
+constexpr Preset kModern{400.0, 1600.0, 0.05, 4096};
 
-Preset preset_param(const RunContext& ctx) {
-  const std::string token = ctx.options.get("preset", "classic");
-  if (token == "classic") return Preset::kClassic;
-  if (token == "modern") return Preset::kModern;
+/// Scenarios without a `preset` knob run classic.
+const Preset& preset_param(const Knobs& k) {
+  if (!k.declares("preset")) return kClassic;
+  const std::string token = k.text("preset");
+  if (token == "classic") return kClassic;
+  if (token == "modern") return kModern;
   throw std::invalid_argument("unknown preset '" + token +
                               "' (expected classic or modern)");
-}
-
-PresetDefaults preset_defaults(Preset preset) {
-  if (preset == Preset::kModern) return {400.0, 1600.0, 0.05, 4096};
-  return {10.0, 40.0, 2.0, 1500};
-}
-
-/// Pushes the preset's packet size into every scheme config (and scales the
-/// DCTCP marking threshold with it, keeping the paper's 65-packet K).  No-op
-/// for classic: 1500 B is already every config's default.
-void apply_preset_packets(Preset preset, transport::FabricOptions& fabric) {
-  if (preset == Preset::kClassic) return;
-  const std::uint32_t bytes = preset_defaults(preset).packet_bytes;
-  fabric.numfabric.packet_bytes = bytes;
-  fabric.dgd.packet_bytes = bytes;
-  fabric.rcp.packet_bytes = bytes;
-  fabric.dctcp.packet_bytes = bytes;
-  fabric.dctcp.ecn_threshold_bytes = 65 * static_cast<std::size_t>(bytes);
-  fabric.pfabric.packet_bytes = bytes;
 }
 
 /// Applies the cross-cutting --solver-threads knob and the preset's packet
@@ -98,132 +93,147 @@ void apply_preset_packets(Preset preset, transport::FabricOptions& fabric) {
 /// solver_threads.  The knob is bit-identity-preserving, so it never appears
 /// in a scenario's declared parameter schema.
 template <typename ExpOptions>
-void apply_thread_context(const RunContext& ctx, ExpOptions& options) {
-  apply_preset_packets(preset_param(ctx), options.fabric);
+void apply_thread_context(const RunContext& ctx, const Knobs& k,
+                          ExpOptions& options) {
+  const Preset& preset = preset_param(k);
+  // Classic's 1500 B is already every config's default.  Otherwise the
+  // DCTCP marking threshold scales too, keeping the paper's 65-packet K.
+  if (preset.packet_bytes != kClassic.packet_bytes) {
+    transport::FabricOptions& fabric = options.fabric;
+    fabric.numfabric.packet_bytes = preset.packet_bytes;
+    fabric.dgd.packet_bytes = preset.packet_bytes;
+    fabric.rcp.packet_bytes = preset.packet_bytes;
+    fabric.dctcp.packet_bytes = preset.packet_bytes;
+    fabric.dctcp.ecn_threshold_bytes =
+        65 * static_cast<std::size_t>(preset.packet_bytes);
+    fabric.pfabric.packet_bytes = preset.packet_bytes;
+  }
   if constexpr (requires { options.solver_threads; }) {
     options.solver_threads = ctx.solver_threads;
   }
 }
 
-/// Resolves the fabric: the optional `topology=HxLxS` shape token, the three
-/// explicit counts, per-tier rates and delays, then the `oversub=` re-rating
-/// (which derives the spine rate from host demand, overriding spine_gbps).
-net::LeafSpineOptions leaf_spine_options(const RunContext& ctx,
-                                         const exp::Scale& scale) {
-  const PresetDefaults preset = preset_defaults(preset_param(ctx));
-  int hosts_per_leaf = scale.hosts_per_leaf;
-  int leaves = scale.leaves;
-  int spines = scale.spines;
-  const std::string shape = ctx.options.get("topology", "");
-  if (!shape.empty()) {
-    for (const char* key : {"hosts_per_leaf", "leaves", "spines"}) {
-      if (ctx.options.has(key)) {
-        throw std::invalid_argument("topology= already fixes " +
-                                    std::string(key) + "; drop one of the two");
-      }
-    }
-    char trailing = 0;
-    if (std::sscanf(shape.c_str(), "%dx%dx%d%c", &hosts_per_leaf, &leaves,
-                    &spines, &trailing) != 3 ||
-        hosts_per_leaf < 1 || leaves < 1 || spines < 1) {
-      throw std::invalid_argument("bad topology '" + shape +
-                                  "' (expected HxLxS, e.g. 16x8x4)");
-    }
-  }
-  net::LeafSpineOptions topo;
-  topo.hosts_per_leaf = static_cast<int>(
-      ctx.options.get_int("hosts_per_leaf", hosts_per_leaf));
-  topo.num_leaves = static_cast<int>(ctx.options.get_int("leaves", leaves));
-  topo.num_spines = static_cast<int>(ctx.options.get_int("spines", spines));
-  topo.host_rate_bps =
-      ctx.options.get_double("host_gbps", preset.host_gbps) * 1e9;
-  topo.spine_rate_bps =
-      ctx.options.get_double("spine_gbps", preset.spine_gbps) * 1e9;
-  topo.link_delay =
-      static_cast<sim::TimeNs>(preset.delay_us * sim::kMicrosecond);
-  topo.core_link_delay = static_cast<sim::TimeNs>(
-      ctx.options.get_double("core_delay_us", sim::to_micros(topo.link_delay)) *
-      sim::kMicrosecond);
-  const double oversub = ctx.options.get_double("oversub", 0.0);
-  if (oversub < 0) {
-    throw std::invalid_argument("oversub must be >= 0 (0 = keep spine_gbps)");
-  }
-  if (oversub > 0) topo = topo.with_oversubscription(oversub);
-  return topo;
-}
-
 // ---------------------------------------------------------------------------
-// Fabric choice: leaf-spine (the default) or jellyfish.
+// The fabric facet: leaf-spine (the default) or Jellyfish.
 //
-// `topology=jellyfish:S,r,H` — S switches of port-count r wired as a random
+// `topology=HxLxS` fixes the three leaf-spine counts in one sweepable token;
+// `topology=jellyfish:S,r,H` is S switches of port-count r wired as a random
 // regular graph (deterministic from jf_seed), H hosts round-robined across
-// the switches, routed over the k_paths shortest paths per switch pair.
-// Shape grammar is one sweepable token so `--sweep "topology=16x8x4,
-// jellyfish:12,4,32"` fans a scenario across both fabric families.
+// the switches, routed over the k_paths shortest paths per switch pair.  So
+// `--sweep "topology=16x8x4, jellyfish:12,4,32"` fans a scenario across both
+// fabric families.  Jellyfish is accepted where a scenario declares k_paths.
 // ---------------------------------------------------------------------------
 
-struct FabricChoice {
+struct Fabric {
   net::LeafSpineOptions leaf_spine;
   std::optional<net::JellyfishOptions> jellyfish;
   int k_paths = 8;
   int hosts = 0;  // total hosts on either fabric
 };
 
-FabricChoice fabric_choice(const RunContext& ctx, const exp::Scale& scale) {
-  FabricChoice choice;
-  const std::string shape = ctx.options.get("topology", "");
-  if (shape.rfind("jellyfish:", 0) == 0) {
-    const PresetDefaults preset = preset_defaults(preset_param(ctx));
-    for (const char* key : {"hosts_per_leaf", "leaves", "spines", "oversub"}) {
-      if (ctx.options.has(key)) {
-        throw std::invalid_argument("topology=jellyfish:... has no " +
-                                    std::string(key) + "; drop it");
-      }
+/// Reads the fabric facet: the topology token, the explicit counts it
+/// conflicts with, per-tier rates and delays (preset-dependent), then the
+/// `oversub=` re-rating (which derives the spine rate from host demand,
+/// overriding spine_gbps).  Every declared knob is validated, whichever
+/// fabric the token selects.
+Fabric read_fabric(const Knobs& k) {
+  const auto given = [&k](const std::string& key) {
+    return k.declares(key) && k.given(key);
+  };
+  const std::string shape = k.text("topology");
+  const bool jellyfish_ok = k.declares("k_paths");
+  const bool jellyfish = jellyfish_ok && shape.rfind("jellyfish:", 0) == 0;
+  for (const std::string key :
+       {"hosts_per_leaf", "leaves", "spines", "oversub"}) {
+    if (!given(key)) continue;
+    if (jellyfish) {
+      throw std::invalid_argument("topology=jellyfish:... has no " + key +
+                                  "; drop it");
     }
-    net::JellyfishOptions jf;
-    char trailing = 0;
-    if (std::sscanf(shape.c_str(), "jellyfish:%d,%d,%d%c", &jf.switches,
-                    &jf.ports, &jf.hosts, &trailing) != 3 ||
-        jf.switches < 1 || jf.ports < 1 || jf.hosts < 1) {
-      throw std::invalid_argument(
-          "bad topology '" + shape +
-          "' (expected jellyfish:switches,ports,hosts, e.g. jellyfish:12,4,24)");
+    if (!shape.empty() && key != "oversub") {
+      throw std::invalid_argument("topology= already fixes " + key +
+                                  "; drop one of the two");
     }
-    jf.seed = static_cast<std::uint64_t>(ctx.options.get_int("jf_seed", 1));
-    jf.host_rate_bps =
-        ctx.options.get_double("host_gbps", preset.host_gbps) * 1e9;
-    jf.switch_rate_bps =
-        ctx.options.get_double("spine_gbps", preset.spine_gbps) * 1e9;
-    jf.link_delay = static_cast<sim::TimeNs>(
-        ctx.options.get_double("core_delay_us", preset.delay_us) *
-        sim::kMicrosecond);
-    const std::int64_t k = ctx.options.get_int("k_paths", 8);
-    if (k < 1) throw std::invalid_argument("k_paths must be >= 1");
-    choice.k_paths = static_cast<int>(k);
-    choice.hosts = jf.hosts;
-    choice.jellyfish = jf;
-    return choice;
   }
-  choice.leaf_spine = leaf_spine_options(ctx, scale);
-  choice.hosts = choice.leaf_spine.hosts_per_leaf * choice.leaf_spine.num_leaves;
-  return choice;
+  const bool counts = shape.empty() && k.declares("hosts_per_leaf");
+  const std::array<int, 3> token =
+      counts ? std::array<int, 3>{} : parse_topology_token(shape, jellyfish_ok);
+
+  // Computed defaults: the preset's rates and delays, unless given.
+  const Preset& preset = preset_param(k);
+  const auto preset_knob = [&](const std::string& key, double preset_value) {
+    return given(key) ? k.real(key) : preset_value;
+  };
+  const double host_bps = preset_knob("host_gbps", preset.host_gbps) * 1e9;
+  const double spine_bps = preset_knob("spine_gbps", preset.spine_gbps) * 1e9;
+  const auto core_delay = static_cast<sim::TimeNs>(
+      preset_knob("core_delay_us", preset.delay_us) * sim::kMicrosecond);
+  const double oversub = given("oversub") ? k.real("oversub") : 0.0;
+  if (oversub < 0) {
+    throw std::invalid_argument("oversub must be >= 0 (0 = keep spine_gbps)");
+  }
+  Fabric fabric;
+  if (jellyfish_ok) {
+    fabric.k_paths = k.integer("k_paths");
+    if (fabric.k_paths < 1) throw std::invalid_argument("k_paths must be >= 1");
+  }
+  const std::uint64_t jf_seed = jellyfish_ok ? k.seed("jf_seed") : 0;
+
+  if (jellyfish) {
+    fabric.jellyfish = net::JellyfishOptions{.switches = token[0],
+                                             .ports = token[1],
+                                             .hosts = token[2],
+                                             .seed = jf_seed,
+                                             .host_rate_bps = host_bps,
+                                             .switch_rate_bps = spine_bps,
+                                             .link_delay = core_delay};
+    fabric.hosts = token[2];
+    return fabric;
+  }
+  net::LeafSpineOptions& topo = fabric.leaf_spine;
+  topo = {.hosts_per_leaf = counts ? k.integer("hosts_per_leaf")
+                                   : token[0],
+          .num_leaves = counts ? k.integer("leaves") : token[1],
+          .num_spines = counts ? k.integer("spines") : token[2],
+          .host_rate_bps = host_bps,
+          .spine_rate_bps = spine_bps,
+          .link_delay =
+              static_cast<sim::TimeNs>(preset.delay_us * sim::kMicrosecond),
+          .core_link_delay = core_delay};
+  if (oversub > 0) topo = topo.with_oversubscription(oversub);
+  fabric.hosts = topo.hosts_per_leaf * topo.num_leaves;
+  return fabric;
 }
 
-std::vector<ParamSpec> topology_params(bool with_jellyfish = false) {
+std::vector<ParamSpec> merge_params(
+    std::initializer_list<std::vector<ParamSpec>> lists) {
+  std::vector<ParamSpec> all;
+  for (const std::vector<ParamSpec>& list : lists) {
+    all.insert(all.end(), list.begin(), list.end());
+  }
+  return all;
+}
+
+std::vector<ParamSpec> topology_params(const exp::Scale& s,
+                                       bool with_jellyfish = false) {
   std::vector<ParamSpec> params = {
       {"topology", "",
        "fabric shape HxLxS (hosts_per_leaf x leaves x spines), e.g. 16x8x4; "
        "one sweepable token, conflicts with the three explicit keys"},
-      {"hosts_per_leaf", "8", "hosts per leaf switch (full scale: 16)"},
-      {"leaves", "4", "number of leaf switches (full scale: 8)"},
-      {"spines", "2", "number of spine switches (full scale: 4)"},
-      {"host_gbps", "10", "host NIC rate (preset=modern default: 400)"},
-      {"spine_gbps", "40",
+      {"hosts_per_leaf", std::to_string(s.hosts_per_leaf),
+       "hosts per leaf switch (full scale: 16)"},
+      {"leaves", std::to_string(s.leaves),
+       "number of leaf switches (full scale: 8)"},
+      {"spines", std::to_string(s.spines),
+       "number of spine switches (full scale: 4)"},
+      {"host_gbps", number(kClassic.host_gbps),
+       "host NIC rate (preset=modern default: 400)"},
+      {"spine_gbps", number(kClassic.spine_gbps),
        "leaf-to-spine / switch-to-switch link rate (preset=modern: 1600)"},
       {"oversub", "0",
        "core oversubscription ratio; > 0 re-rates spine links to "
        "hosts_per_leaf*host_gbps/(spines*oversub), overriding spine_gbps"},
-      {"core_delay_us", "2",
+      {"core_delay_us", number(kClassic.delay_us),
        "leaf-spine propagation delay (edge links track the preset; "
        "preset=modern: 0.05)"},
       {"preset", "classic",
@@ -244,12 +254,6 @@ std::vector<ParamSpec> topology_params(bool with_jellyfish = false) {
   return params;
 }
 
-std::vector<ParamSpec> merge_params(std::vector<ParamSpec> a,
-                                    std::vector<ParamSpec> b) {
-  a.insert(a.end(), b.begin(), b.end());
-  return a;
-}
-
 /// Effective scheme for single-transport scenarios: the sweepable
 /// `transport=` parameter when set, else the driver's --transport switch.
 transport::Scheme scheme_for(const RunContext& ctx) {
@@ -257,11 +261,13 @@ transport::Scheme scheme_for(const RunContext& ctx) {
   return token.empty() ? ctx.scheme : parse_scheme(token);
 }
 
+/// Computed default: the driver's --transport switch.
 ParamSpec transport_param() {
   return {"transport", "<--transport>",
           "scheme for this run (sweepable; overrides --transport)"};
 }
 
+/// Computed default: the driver's --transport switch, as a one-item list.
 std::vector<transport::Scheme> transports_param(const RunContext& ctx) {
   std::vector<transport::Scheme> schemes;
   for (const std::string& token :
@@ -278,9 +284,8 @@ double percentile_or_nan(const std::vector<double>& samples, double p) {
 
 /// KB-sized knobs become unsigned byte counts; a negative value would wrap
 /// to an absurd size, so reject it here.
-std::uint64_t kb_to_bytes(const RunContext& ctx, const std::string& key,
-                          std::int64_t fallback_kb) {
-  const std::int64_t kb = ctx.options.get_int(key, fallback_kb);
+std::uint64_t kb_to_bytes(const Knobs& k, const std::string& key) {
+  const int kb = k.integer(key);
   if (kb < 0) {
     throw std::invalid_argument(key + " must be >= 0 (got " +
                                 std::to_string(kb) + ")");
@@ -289,7 +294,7 @@ std::uint64_t kb_to_bytes(const RunContext& ctx, const std::string& key,
 }
 
 // ---------------------------------------------------------------------------
-// Simulation fidelity (`fidelity=packet|flow`).
+// The fidelity facet (`fidelity=packet|flow`).
 //
 // Scenarios that declare fidelity_params() can swap the packet substrate for
 // the flow-fluid engine (src/flowsim/): same workload draw, same paths, same
@@ -298,49 +303,47 @@ std::uint64_t kb_to_bytes(const RunContext& ctx, const std::string& key,
 // `fidelity=` there with a pointed error (see driver.cc).
 // ---------------------------------------------------------------------------
 
-enum class Fidelity { kPacket, kFlow };
+struct Fidelity {
+  bool flow = false;
+  double resolve_seconds = 0;
+  bool incremental = true;  // the solver's worklist re-solve path
+};
 
-Fidelity fidelity_param(const RunContext& ctx) {
-  const std::string token = ctx.options.get("fidelity", "packet");
-  if (token == "packet") return Fidelity::kPacket;
-  if (token == "flow") return Fidelity::kFlow;
-  throw std::invalid_argument("unknown fidelity '" + token +
-                              "' (expected packet or flow)");
-}
-
-double resolve_interval_param(const RunContext& ctx, double default_us) {
-  const double us = ctx.options.get_double("resolve_us", default_us);
-  if (us < 0) {
-    throw std::invalid_argument(
-        "resolve_us must be >= 0 (0 = exact event-driven mode)");
+/// Reads `fidelity`, `resolve_us` and `incremental`, all validated whichever
+/// substrate runs.  Incremental re-solves converge to the same tolerance as
+/// full ones but are not bit-identical, so golden-hashed runs pass off.
+Fidelity read_fidelity(const Knobs& k, transport::Scheme scheme) {
+  Fidelity fidelity;
+  const std::string token = k.text("fidelity");
+  if (token != "packet" && token != "flow") {
+    throw std::invalid_argument("unknown fidelity '" + token +
+                                "' (expected packet or flow)");
   }
-  return us * 1e-6;
-}
-
-/// `incremental=on|off`: the solver's worklist re-solve path.  ON by default
-/// for flow fidelity (per-epoch cost tracks churn, not compiled history);
-/// anything that golden-hashes output must pass off — incremental solves
-/// converge to the same tolerance but are not bit-identical to full ones.
-bool incremental_param(const RunContext& ctx) {
-  const std::string token = ctx.options.get("incremental", "on");
-  if (token == "on") return true;
-  if (token == "off") return false;
-  throw std::invalid_argument("unknown incremental '" + token +
-                              "' (expected on or off)");
-}
-
-/// The flow-fluid engine assigns every flow its NUM-optimal rate, which
-/// models the NUM-solving transports.  Window/loss protocols (DCTCP,
-/// pFabric) have no flow-fluid model — running them would silently report
-/// oracle numbers under their name, so fail loudly instead.
-void require_flow_capable_scheme(transport::Scheme scheme) {
-  if (scheme != transport::Scheme::kNumFabric &&
+  fidelity.flow = token == "flow";
+  // The flow-fluid engine assigns every flow its NUM-optimal rate, which
+  // models the NUM-solving transports.  Window/loss protocols (DCTCP,
+  // pFabric) have no flow-fluid model — running them would silently report
+  // oracle numbers under their name, so fail loudly instead.
+  if (fidelity.flow && scheme != transport::Scheme::kNumFabric &&
       scheme != transport::Scheme::kDgd) {
     throw std::invalid_argument(
         "fidelity=flow models NUM-optimal rates; transport '" +
         scheme_token(scheme) +
         "' has no flow-fluid model (supported: numfabric, dgd)");
   }
+  const double resolve_us = k.real("resolve_us");
+  if (resolve_us < 0) {
+    throw std::invalid_argument(
+        "resolve_us must be >= 0 (0 = exact event-driven mode)");
+  }
+  fidelity.resolve_seconds = resolve_us * 1e-6;
+  const std::string incremental = k.text("incremental");
+  if (incremental != "on" && incremental != "off") {
+    throw std::invalid_argument("unknown incremental '" + incremental +
+                                "' (expected on or off)");
+  }
+  fidelity.incremental = incremental == "on";
+  return fidelity;
 }
 
 std::vector<ParamSpec> fidelity_params() {
@@ -364,11 +367,50 @@ void emit_solver_health(RunContext& ctx, const num::SolverHealth& health) {
 }
 
 // ---------------------------------------------------------------------------
+// The semi-dynamic population facet (§6.1): convergence (Fig. 4a) runs the
+// scale's population; rate-timeseries (Fig. 4b,c) half of it and
+// sensitivity (Fig. 6) a quarter, as the seed figure setups did.
+// ---------------------------------------------------------------------------
+
+std::vector<ParamSpec> population_params(const exp::Scale& s, int share,
+                                         const std::string& paths_help,
+                                         const ParamSpec& events) {
+  return {{"paths", std::to_string(s.num_paths / share), paths_help},
+          {"initial_active", std::to_string(s.initial_active / share),
+           "flows active before the first event"},
+          {"flows_per_event", std::to_string(s.flows_per_event / share),
+           "flows started/stopped per network event"},
+          events,
+          {"min_active", std::to_string(s.min_active / share),
+           "lower bound on concurrently active flows"},
+          {"max_active", std::to_string(s.max_active / share),
+           "upper bound on concurrently active flows"}};
+}
+
+/// The population plus what every semi-dynamic scenario shares: the fabric,
+/// the scheme, alpha and the seed.
+exp::SemiDynamicOptions read_population(const RunContext& ctx,
+                                        const Knobs& k) {
+  exp::SemiDynamicOptions options;
+  apply_thread_context(ctx, k, options);
+  options.scheme = ctx.scheme;
+  options.topology = read_fabric(k).leaf_spine;
+  options.num_paths = k.integer("paths");
+  options.initial_active = k.integer("initial_active");
+  options.flows_per_event = k.integer("flows_per_event");
+  options.num_events = k.integer("events");
+  options.min_active = k.integer("min_active");
+  options.max_active = k.integer("max_active");
+  options.alpha = k.real("alpha");
+  options.seed = k.seed("seed");
+  return options;
+}
+
+// ---------------------------------------------------------------------------
 // convergence (Fig. 4a): semi-dynamic convergence-time CDF.
 // ---------------------------------------------------------------------------
 
-void run_convergence(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
+void run_convergence(RunContext& ctx, const Knobs& k) {
   MetricTable& summary = ctx.metrics.table(
       "convergence",
       {"transport", "events_measured", "events_converged", "median_us",
@@ -376,28 +418,11 @@ void run_convergence(RunContext& ctx) {
   MetricTable& cdf = ctx.metrics.table("convergence_cdf",
                                        {"transport", "time_us", "fraction"});
 
+  exp::SemiDynamicOptions options = read_population(ctx, k);
+  options.convergence.timeout = k.ms("timeout_ms");
   num::SolverHealth health;
   for (const transport::Scheme scheme : transports_param(ctx)) {
-    exp::SemiDynamicOptions options;
-    apply_thread_context(ctx, options);
     options.scheme = scheme;
-    options.topology = leaf_spine_options(ctx, scale);
-    options.num_paths =
-        static_cast<int>(ctx.options.get_int("paths", scale.num_paths));
-    options.initial_active = static_cast<int>(
-        ctx.options.get_int("initial_active", scale.initial_active));
-    options.flows_per_event = static_cast<int>(
-        ctx.options.get_int("flows_per_event", scale.flows_per_event));
-    options.num_events =
-        static_cast<int>(ctx.options.get_int("events", scale.num_events));
-    options.min_active =
-        static_cast<int>(ctx.options.get_int("min_active", scale.min_active));
-    options.max_active =
-        static_cast<int>(ctx.options.get_int("max_active", scale.max_active));
-    options.convergence.timeout = ms_time(ctx.options.get_double(
-        "timeout_ms", sim::to_seconds(scale.convergence_timeout) * 1e3));
-    options.alpha = ctx.options.get_double("alpha", 1.0);
-    options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 1));
     const exp::SemiDynamicResult result = exp::run_semi_dynamic(options);
     health.merge(result.solver_health);
 
@@ -420,33 +445,14 @@ void run_convergence(RunContext& ctx) {
 // rate-timeseries (Fig. 4b,c): one tracked flow across network events.
 // ---------------------------------------------------------------------------
 
-void run_rate_timeseries(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
-  exp::SemiDynamicOptions options;
-  apply_thread_context(ctx, options);
-  options.scheme = ctx.scheme;
-  options.topology = leaf_spine_options(ctx, scale);
-  options.num_paths =
-      static_cast<int>(ctx.options.get_int("paths", scale.num_paths / 2));
-  options.initial_active = static_cast<int>(
-      ctx.options.get_int("initial_active", scale.initial_active / 2));
-  options.flows_per_event = static_cast<int>(
-      ctx.options.get_int("flows_per_event", scale.flows_per_event / 2));
-  options.num_events = static_cast<int>(ctx.options.get_int("events", 8));
-  options.min_active =
-      static_cast<int>(ctx.options.get_int("min_active", scale.min_active / 2));
-  options.max_active =
-      static_cast<int>(ctx.options.get_int("max_active", scale.max_active / 2));
-  options.alpha = ctx.options.get_double("alpha", 1.0);
+void run_rate_timeseries(RunContext& ctx, const Knobs& k) {
+  exp::SemiDynamicOptions options = read_population(ctx, k);
   options.record_trace = true;
-  options.trace_sample_interval =
-      sim::micros(ctx.options.get_int("sample_us", 20));
+  options.trace_sample_interval = sim::micros(k.integer("sample_us"));
   // A fixed event schedule keeps schemes comparable (DCTCP never converges
   // at these time scales, so convergence-gated events would stall).
-  options.fixed_event_interval =
-      ms_time(ctx.options.get_double("event_interval_ms", 4));
+  options.fixed_event_interval = k.ms("event_interval_ms");
   options.use_maxmin_targets = ctx.scheme == transport::Scheme::kDctcp;
-  options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 7));
   const exp::SemiDynamicResult result = exp::run_semi_dynamic(options);
 
   ctx.metrics.scalar("transport", scheme_token(ctx.scheme));
@@ -466,8 +472,8 @@ void run_rate_timeseries(RunContext& ctx) {
 // ---------------------------------------------------------------------------
 
 const workload::SizeDistribution& distribution_param(const RunContext& ctx,
-                                                     const std::string& fallback) {
-  const std::string name = ctx.options.get("workload", fallback);
+                                                     const Knobs& k) {
+  const std::string name = k.text("workload");
   if (name == "websearch") return workload::websearch_distribution();
   if (name == "enterprise") return workload::enterprise_distribution();
   // Full-scale runs use the uncapped 1 GB tail (ROADMAP fidelity note).
@@ -479,29 +485,27 @@ const workload::SizeDistribution& distribution_param(const RunContext& ctx,
       "' (expected websearch, enterprise or datamining)");
 }
 
-void run_dynamic_deviation(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
+void run_dynamic_deviation(RunContext& ctx, const Knobs& k) {
   MetricTable& table = ctx.metrics.table(
       "deviation", {"transport", "bin_bdps", "count", "whisker_low", "p25",
                     "median", "p75", "whisker_high"});
   MetricTable& totals = ctx.metrics.table(
       "flows", {"transport", "completed", "incomplete", "bdp_kb"});
 
+  exp::DynamicWorkloadOptions options;
+  apply_thread_context(ctx, k, options);
+  options.topology = read_fabric(k).leaf_spine;
+  options.sizes = &distribution_param(ctx, k);
+  options.load = k.real("load");
+  options.flow_count = k.integer("flows");
+  options.alpha = k.real("alpha");
+  options.seed = k.seed("seed");
+  options.horizon = k.ms("horizon_ms");
   num::SolverHealth health;
   for (const transport::Scheme scheme : transports_param(ctx)) {
-    exp::DynamicWorkloadOptions options;
-    apply_thread_context(ctx, options);
     options.scheme = scheme;
-    options.topology = leaf_spine_options(ctx, scale);
-    options.sizes = &distribution_param(ctx, "websearch");
-    options.load = ctx.options.get_double("load", 0.6);
-    options.flow_count = static_cast<int>(
-        ctx.options.get_int("flows", scale.dynamic_flow_count));
-    options.alpha = ctx.options.get_double("alpha", 1.0);
-    options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 11));
-    options.horizon =
-        ms_time(ctx.options.get_double("horizon_ms", 20'000));
-    const exp::DynamicWorkloadResult result = exp::run_dynamic_workload(options);
+    const exp::DynamicWorkloadResult result =
+        exp::run_dynamic_workload(options);
     health.merge(result.solver_health);
 
     const std::string name = scheme_token(scheme);
@@ -532,28 +536,20 @@ void run_dynamic_deviation(RunContext& ctx) {
 
 // A `load=` single point overrides the `loads=` list — the sweep engine
 // sweeps scalars, so `--sweep load=0.2,0.4` fans the list out run-per-run.
-std::vector<double> loads_param(const RunContext& ctx,
-                                const std::vector<double>& fallback) {
-  if (ctx.options.has("load")) {
-    return {ctx.options.get_double("load", 0)};
-  }
-  return ctx.options.get_double_list("loads", fallback);
+std::vector<double> loads_param(const Knobs& k) {
+  return k.given("load") ? std::vector<double>{k.real("load")}
+                         : k.reals("loads");
 }
 
-void run_fct_vs_pfabric(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
+void run_fct_vs_pfabric(RunContext& ctx, const Knobs& k) {
   exp::FctExperimentOptions options;
-  apply_thread_context(ctx, options);
-  options.topology = leaf_spine_options(ctx, scale);
-  options.loads = loads_param(
-      ctx, ctx.full_scale
-               ? std::vector<double>{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-               : std::vector<double>{0.2, 0.4, 0.6, 0.8});
-  options.flow_count = static_cast<int>(
-      ctx.options.get_int("flows", scale.dynamic_flow_count));
-  options.epsilon = ctx.options.get_double("epsilon", 0.125);
-  options.slowdown = ctx.options.get_double("slowdown", 2.0);
-  options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 5));
+  apply_thread_context(ctx, k, options);
+  options.topology = read_fabric(k).leaf_spine;
+  options.loads = loads_param(k);
+  options.flow_count = k.integer("flows");
+  options.epsilon = k.real("epsilon");
+  options.slowdown = k.real("slowdown");
+  options.seed = k.seed("seed");
   const exp::FctExperimentResult result = exp::run_fct_experiment(options);
 
   MetricTable& table = ctx.metrics.table(
@@ -575,26 +571,17 @@ void run_fct_vs_pfabric(RunContext& ctx) {
 // resource-pooling (Fig. 8): multipath sub-flows with/without pooling.
 // ---------------------------------------------------------------------------
 
-void run_resource_pooling(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
+void run_resource_pooling(RunContext& ctx, const Knobs& k) {
   exp::PoolingOptions options;
-  apply_thread_context(ctx, options);
-  options.topology.hosts_per_leaf = static_cast<int>(
-      ctx.options.get_int("hosts_per_leaf", scale.pooling_hosts_per_leaf));
-  options.topology.num_leaves = static_cast<int>(
-      ctx.options.get_int("leaves", scale.pooling_leaves));
-  options.topology.num_spines = static_cast<int>(
-      ctx.options.get_int("spines", scale.pooling_spines));
-  options.topology.spine_rate_bps =
-      ctx.options.get_double("spine_gbps", 10.0) * 1e9;  // Fig. 8: all-10G
-  options.subflow_counts = ctx.options.get_int_list(
-      "subflows", ctx.full_scale ? std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}
-                                 : std::vector<int>{1, 2, 4, 8});
-  options.warmup = ms_time(ctx.options.get_double(
-      "warmup_ms", sim::to_seconds(scale.warmup) * 1e3));
-  options.measure = ms_time(ctx.options.get_double(
-      "measure_ms", sim::to_seconds(scale.measure) * 1e3));
-  options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 2));
+  apply_thread_context(ctx, k, options);
+  options.topology.hosts_per_leaf = k.integer("hosts_per_leaf");
+  options.topology.num_leaves = k.integer("leaves");
+  options.topology.num_spines = k.integer("spines");
+  options.topology.spine_rate_bps = k.real("spine_gbps") * 1e9;
+  options.subflow_counts = k.integers("subflows");
+  options.warmup = k.ms("warmup_ms");
+  options.measure = k.ms("measure_ms");
+  options.seed = k.seed("seed");
 
   MetricTable& totals = ctx.metrics.table(
       "throughput", {"mode", "subflows", "fraction_of_optimal"});
@@ -618,19 +605,13 @@ void run_resource_pooling(RunContext& ctx) {
 // bwfunc-sweep (Fig. 9) and bwfunc-pooling (Fig. 10).
 // ---------------------------------------------------------------------------
 
-void run_bwfunc_sweep(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
+void run_bwfunc_sweep(RunContext& ctx, const Knobs& k) {
   exp::BwFuncSweepOptions options;
-  options.capacities_gbps = ctx.options.get_double_list(
-      "capacities_gbps", {5, 10, 15, 20, 25, 30, 35});
-  options.alpha = ctx.options.get_double("alpha", 5.0);
-  options.slowdown = ctx.options.get_double("slowdown", 4.0);
-  // Measurement windows track exp::Scale (quick 8/12 ms, full 10/20 ms),
-  // matching the seed fig9 bench.
-  options.warmup = ms_time(ctx.options.get_double(
-      "warmup_ms", sim::to_seconds(scale.warmup) * 1e3));
-  options.measure = ms_time(ctx.options.get_double(
-      "measure_ms", sim::to_seconds(scale.measure) * 1e3));
+  options.capacities_gbps = k.reals("capacities_gbps");
+  options.alpha = k.real("alpha");
+  options.slowdown = k.real("slowdown");
+  options.warmup = k.ms("warmup_ms");
+  options.measure = k.ms("measure_ms");
   const exp::BwFuncSweepResult result = exp::run_bwfunc_sweep(options);
 
   MetricTable& table = ctx.metrics.table(
@@ -642,14 +623,14 @@ void run_bwfunc_sweep(RunContext& ctx) {
   }
 }
 
-void run_bwfunc_pooling(RunContext& ctx) {
+void run_bwfunc_pooling(RunContext& ctx, const Knobs& k) {
   exp::BwFuncPoolingOptions options;
-  options.alpha = ctx.options.get_double("alpha", 5.0);
-  options.slowdown = ctx.options.get_double("slowdown", 4.0);
-  options.middle_before_gbps = ctx.options.get_double("middle_before_gbps", 5);
-  options.middle_after_gbps = ctx.options.get_double("middle_after_gbps", 17);
-  options.switch_time = ms_time(ctx.options.get_double("switch_ms", 10));
-  options.end_time = ms_time(ctx.options.get_double("end_ms", 20));
+  options.alpha = k.real("alpha");
+  options.slowdown = k.real("slowdown");
+  options.middle_before_gbps = k.real("middle_before_gbps");
+  options.middle_after_gbps = k.real("middle_after_gbps");
+  options.switch_time = k.ms("switch_ms");
+  options.end_time = k.ms("end_ms");
   const exp::BwFuncPoolingResult result = exp::run_bwfunc_pooling(options);
 
   MetricTable& phases = ctx.metrics.table(
@@ -676,15 +657,12 @@ void emit_fct_table(RunContext& ctx, int completed, int incomplete,
       "fct", {"completed", "incomplete", "min_us", "mean_us", "p50_us",
               "p95_us", "p99_us", "max_us"});
   std::sort(fct_us.begin(), fct_us.end());
-  fct.add_row({completed, incomplete,
-               fct_us.empty() ? std::numeric_limits<double>::quiet_NaN()
-                              : fct_us.front(),
-               fct_us.empty() ? std::numeric_limits<double>::quiet_NaN()
-                              : stats::mean(fct_us),
-               percentile_or_nan(fct_us, 50), percentile_or_nan(fct_us, 95),
-               percentile_or_nan(fct_us, 99),
-               fct_us.empty() ? std::numeric_limits<double>::quiet_NaN()
-                              : fct_us.back()});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const bool none = fct_us.empty();
+  fct.add_row({completed, incomplete, none ? nan : fct_us.front(),
+               none ? nan : stats::mean(fct_us), percentile_or_nan(fct_us, 50),
+               percentile_or_nan(fct_us, 95), percentile_or_nan(fct_us, 99),
+               none ? nan : fct_us.back()});
 }
 
 void emit_traffic_result(RunContext& ctx, transport::Scheme scheme,
@@ -715,78 +693,79 @@ void emit_traffic_result(RunContext& ctx, transport::Scheme scheme,
   }
 }
 
-void run_traffic(RunContext& ctx, exp::TrafficPattern pattern,
-                 std::int64_t default_flow_kb) {
-  const exp::Scale scale = scale_for(ctx);
+void run_traffic(RunContext& ctx, const Knobs& k,
+                 exp::TrafficPattern pattern) {
   exp::TrafficOptions options;
-  apply_thread_context(ctx, options);
+  apply_thread_context(ctx, k, options);
   options.scheme = scheme_for(ctx);
-  const FabricChoice fab = fabric_choice(ctx, scale);
-  options.topology = fab.leaf_spine;
-  options.jellyfish = fab.jellyfish;
-  options.k_paths = fab.k_paths;
-  options.core_buffer_bytes =
-      static_cast<std::size_t>(kb_to_bytes(ctx, "core_buffer_kb", 0));
+  const Fabric fabric = read_fabric(k);
+  options.topology = fabric.leaf_spine;
+  options.jellyfish = fabric.jellyfish;
+  options.k_paths = fabric.k_paths;
+  options.core_buffer_bytes = kb_to_bytes(k, "core_buffer_kb");
   options.pattern = pattern;
-  options.incast_fanin = static_cast<int>(
-      ctx.options.get_int("fanin", std::min(16, fab.hosts - 1)));
-  options.flow_size_bytes = kb_to_bytes(ctx, "flow_kb", default_flow_kb);
-  options.alpha = ctx.options.get_double("alpha", 1.0);
-  options.warmup = ms_time(ctx.options.get_double(
-      "warmup_ms", sim::to_seconds(scale.warmup) * 1e3));
-  options.measure = ms_time(ctx.options.get_double(
-      "measure_ms", sim::to_seconds(scale.measure) * 1e3));
-  options.horizon = ms_time(ctx.options.get_double("horizon_ms", 5'000));
-  options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 1));
-  if (fidelity_param(ctx) == Fidelity::kFlow) {
-    require_flow_capable_scheme(options.scheme);
-    emit_traffic_result(
-        ctx, options.scheme,
-        exp::run_traffic_experiment_flow(options,
-                                         resolve_interval_param(ctx, 0),
-                                         ctx.solver_threads,
-                                         incremental_param(ctx)));
-    return;
+  if (k.declares("fanin")) {
+    // Computed default: the declared fan-in, capped at the other hosts.
+    options.incast_fanin = k.given("fanin")
+                               ? k.integer("fanin")
+                               : std::min(k.integer("fanin"), fabric.hosts - 1);
   }
-  emit_traffic_result(ctx, options.scheme, exp::run_traffic_experiment(options));
+  options.flow_size_bytes = kb_to_bytes(k, "flow_kb");
+  options.alpha = k.real("alpha");
+  options.warmup = k.ms("warmup_ms");
+  options.measure = k.ms("measure_ms");
+  options.horizon = k.ms("horizon_ms");
+  options.seed = k.seed("seed");
+  const Fidelity fidelity = read_fidelity(k, options.scheme);
+  emit_traffic_result(
+      ctx, options.scheme,
+      fidelity.flow ? exp::run_traffic_experiment_flow(
+                          options, fidelity.resolve_seconds,
+                          ctx.solver_threads, fidelity.incremental)
+                    : exp::run_traffic_experiment(options));
+}
+
+/// Declared knobs of the three traffic families, around their own.
+std::vector<ParamSpec> traffic_params(const exp::Scale& s,
+                                      const std::vector<ParamSpec>& own) {
+  return merge_params({topology_params(s, true), fidelity_params(),
+                       {transport_param(),
+                        {"core_buffer_kb", "0",
+                         "core per-port buffer KB (0 = edge buffer)"}},
+                       own});
 }
 
 // ---------------------------------------------------------------------------
 // FCT sweeps over a measured trace (web-search / data-mining).
 // ---------------------------------------------------------------------------
 
-void run_fct_sweep(RunContext& ctx, const std::string& default_workload) {
-  const exp::Scale scale = scale_for(ctx);
+void run_fct_sweep(RunContext& ctx, const Knobs& k) {
   MetricTable& table = ctx.metrics.table(
       "fct_sweep", {"load", "completed", "incomplete", "mean_norm_fct",
                     "p50_norm_fct", "p95_norm_fct", "p99_norm_fct"});
   MetricTable& bins = ctx.metrics.table(
       "fct_by_size", {"load", "bin_bdps", "count", "mean_norm_fct"});
 
-  const Fidelity fidelity = fidelity_param(ctx);
-  const std::vector<double> loads = loads_param(ctx, {0.2, 0.4, 0.6, 0.8});
+  exp::DynamicWorkloadOptions options;
+  apply_thread_context(ctx, k, options);
+  options.scheme = scheme_for(ctx);
+  const Fidelity fidelity = read_fidelity(k, options.scheme);
+  const Fabric fabric = read_fabric(k);
+  options.topology = fabric.leaf_spine;
+  options.jellyfish = fabric.jellyfish;
+  options.k_paths = fabric.k_paths;
+  options.sizes = &distribution_param(ctx, k);
+  options.flow_count = k.integer("flows");
+  options.alpha = k.real("alpha");
+  options.seed = k.seed("seed");
+  options.horizon = k.ms("horizon_ms");
   num::SolverHealth health;
-  for (const double load : loads) {
-    exp::DynamicWorkloadOptions options;
-    apply_thread_context(ctx, options);
-    options.scheme = scheme_for(ctx);
-    const FabricChoice fab = fabric_choice(ctx, scale);
-    options.topology = fab.leaf_spine;
-    options.jellyfish = fab.jellyfish;
-    options.k_paths = fab.k_paths;
-    options.sizes = &distribution_param(ctx, default_workload);
+  for (const double load : loads_param(k)) {
     options.load = load;
-    options.flow_count = static_cast<int>(
-        ctx.options.get_int("flows", scale.dynamic_flow_count / 2));
-    options.alpha = ctx.options.get_double("alpha", 1.0);
-    options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 13));
-    options.horizon = ms_time(ctx.options.get_double("horizon_ms", 20'000));
-    if (fidelity == Fidelity::kFlow) require_flow_capable_scheme(options.scheme);
     const exp::DynamicWorkloadResult result =
-        fidelity == Fidelity::kFlow
-            ? exp::run_dynamic_workload_flow(options,
-                                             resolve_interval_param(ctx, 0),
-                                             incremental_param(ctx))
+        fidelity.flow
+            ? exp::run_dynamic_workload_flow(options, fidelity.resolve_seconds,
+                                             fidelity.incremental)
             : exp::run_dynamic_workload(options);
     health.merge(result.solver_health);
 
@@ -820,20 +799,18 @@ void run_fct_sweep(RunContext& ctx, const std::string& default_workload) {
 // Oversubscribed-fabric family: oversub-fabric and background-burst.
 // ---------------------------------------------------------------------------
 
-void run_oversub_fabric_scenario(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
+void run_oversub_fabric_scenario(RunContext& ctx, const Knobs& k) {
   exp::OversubFabricOptions options;
-  apply_thread_context(ctx, options);
+  apply_thread_context(ctx, k, options);
   options.scheme = scheme_for(ctx);
-  options.topology = leaf_spine_options(ctx, scale);
-  options.core_buffer_bytes =
-      static_cast<std::size_t>(kb_to_bytes(ctx, "core_buffer_kb", 0));
-  options.alpha = ctx.options.get_double("alpha", 1.0);
-  options.shuffle_flow_bytes = kb_to_bytes(ctx, "shuffle_kb", 50);
-  options.warmup = ms_time(ctx.options.get_double("warmup_ms", 2));
-  options.measure = ms_time(ctx.options.get_double("measure_ms", 4));
-  options.horizon = ms_time(ctx.options.get_double("horizon_ms", 200));
-  options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 1));
+  options.topology = read_fabric(k).leaf_spine;
+  options.core_buffer_bytes = kb_to_bytes(k, "core_buffer_kb");
+  options.alpha = k.real("alpha");
+  options.shuffle_flow_bytes = kb_to_bytes(k, "shuffle_kb");
+  options.warmup = k.ms("warmup_ms");
+  options.measure = k.ms("measure_ms");
+  options.horizon = k.ms("horizon_ms");
+  options.seed = k.seed("seed");
   const exp::OversubFabricResult result = exp::run_oversub_fabric(options);
 
   ctx.metrics.scalar("transport", scheme_token(options.scheme));
@@ -865,24 +842,21 @@ void run_oversub_fabric_scenario(RunContext& ctx) {
                  result.shuffle_fct_us);
 }
 
-void run_background_burst_scenario(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
+void run_background_burst_scenario(RunContext& ctx, const Knobs& k) {
   exp::BackgroundBurstOptions options;
-  apply_thread_context(ctx, options);
+  apply_thread_context(ctx, k, options);
   options.scheme = scheme_for(ctx);
-  options.topology = leaf_spine_options(ctx, scale);
-  options.core_buffer_bytes =
-      static_cast<std::size_t>(kb_to_bytes(ctx, "core_buffer_kb", 0));
-  options.alpha = ctx.options.get_double("alpha", 1.0);
-  options.background_load = ctx.options.get_double("background_load", 0.5);
-  options.burst_fanin = static_cast<int>(ctx.options.get_int("fanin", 8));
-  options.burst_bytes = kb_to_bytes(ctx, "burst_kb", 20);
-  options.burst_interval =
-      ms_time(ctx.options.get_double("burst_interval_ms", 1));
-  options.num_bursts = static_cast<int>(ctx.options.get_int("bursts", 4));
-  options.warmup = ms_time(ctx.options.get_double("warmup_ms", 2));
-  options.horizon = ms_time(ctx.options.get_double("horizon_ms", 500));
-  options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 1));
+  options.topology = read_fabric(k).leaf_spine;
+  options.core_buffer_bytes = kb_to_bytes(k, "core_buffer_kb");
+  options.alpha = k.real("alpha");
+  options.background_load = k.real("background_load");
+  options.burst_fanin = k.integer("fanin");
+  options.burst_bytes = kb_to_bytes(k, "burst_kb");
+  options.burst_interval = k.ms("burst_interval_ms");
+  options.num_bursts = k.integer("bursts");
+  options.warmup = k.ms("warmup_ms");
+  options.horizon = k.ms("horizon_ms");
+  options.seed = k.seed("seed");
   const exp::BackgroundBurstResult result = exp::run_background_burst(options);
 
   ctx.metrics.scalar("transport", scheme_token(options.scheme));
@@ -927,42 +901,18 @@ void run_background_burst_scenario(RunContext& ctx) {
 // grids over dt_us / interval_us / alpha x slowdown (see bench/fig6).
 // ---------------------------------------------------------------------------
 
-void run_sensitivity(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
-  exp::SemiDynamicOptions options;
-  apply_thread_context(ctx, options);
-  options.scheme = ctx.scheme;
-  options.topology = leaf_spine_options(ctx, scale);
-  // Sensitivity grids rerun the scenario at many points; defaults are a
-  // quarter of the convergence scenario's population (the seed fig6 setup).
-  options.num_paths =
-      static_cast<int>(ctx.options.get_int("paths", scale.num_paths / 4));
-  options.initial_active = static_cast<int>(
-      ctx.options.get_int("initial_active", scale.initial_active / 4));
-  options.flows_per_event = static_cast<int>(
-      ctx.options.get_int("flows_per_event", scale.flows_per_event / 4));
-  options.num_events = static_cast<int>(
-      ctx.options.get_int("events", ctx.full_scale ? 30 : 4));
-  options.min_active =
-      static_cast<int>(ctx.options.get_int("min_active", scale.min_active / 4));
-  options.max_active =
-      static_cast<int>(ctx.options.get_int("max_active", scale.max_active / 4));
-  options.convergence.timeout = ms_time(ctx.options.get_double(
-      "timeout_ms", sim::to_seconds(scale.convergence_timeout) * 1e3));
-  options.alpha = ctx.options.get_double("alpha", 1.0);
-  options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 21));
-
+void run_sensitivity(RunContext& ctx, const Knobs& k) {
+  exp::SemiDynamicOptions options = read_population(ctx, k);
+  options.convergence.timeout = k.ms("timeout_ms");
   transport::NumFabricConfig& config = options.fabric.numfabric;
-  const double dt_us =
-      ctx.options.get_double("dt_us", sim::to_micros(config.dt_slack));
+  const double dt_us = k.real("dt_us");
   config.dt_slack = static_cast<sim::TimeNs>(dt_us * sim::kMicrosecond);
-  const double interval_us = ctx.options.get_double(
-      "interval_us", sim::to_micros(config.price_update_interval));
+  const double interval_us = k.real("interval_us");
   config.price_update_interval =
       static_cast<sim::TimeNs>(interval_us * sim::kMicrosecond);
-  config.eta = ctx.options.get_double("eta", config.eta);
-  config.beta = ctx.options.get_double("beta", config.beta);
-  const double slowdown = ctx.options.get_double("slowdown", 1.0);
+  config.eta = k.real("eta");
+  config.beta = k.real("beta");
+  const double slowdown = k.real("slowdown");
   config = config.slowed_down(slowdown);
 
   const exp::SemiDynamicResult result = exp::run_semi_dynamic(options);
@@ -987,24 +937,22 @@ void run_sensitivity(RunContext& ctx) {
 // trace-replay: external workload trace in, FCT metrics out.
 // ---------------------------------------------------------------------------
 
-void run_trace_replay_scenario(RunContext& ctx) {
-  const exp::Scale scale = scale_for(ctx);
+void run_trace_replay_scenario(RunContext& ctx, const Knobs& k) {
   exp::TraceReplayOptions options;
-  apply_thread_context(ctx, options);
+  apply_thread_context(ctx, k, options);
   options.scheme = ctx.scheme;
-  options.topology = leaf_spine_options(ctx, scale);
-  options.alpha = ctx.options.get_double("alpha", 1.0);
-  options.horizon = ms_time(ctx.options.get_double("horizon_ms", 20'000));
-  const std::string path = ctx.options.get("trace", "");
+  options.topology = read_fabric(k).leaf_spine;
+  options.alpha = k.real("alpha");
+  options.horizon = k.ms("horizon_ms");
+  const Fidelity fidelity = read_fidelity(k, options.scheme);
+  const std::string path = k.text("trace");
   options.trace =
       path.empty() ? workload::example_trace() : workload::load_trace_csv(path);
-  const Fidelity fidelity = fidelity_param(ctx);
-  if (fidelity == Fidelity::kFlow) require_flow_capable_scheme(options.scheme);
   const exp::TraceReplayResult result =
-      fidelity == Fidelity::kFlow
-          ? exp::run_trace_replay_flow(options, resolve_interval_param(ctx, 0),
+      fidelity.flow
+          ? exp::run_trace_replay_flow(options, fidelity.resolve_seconds,
                                        ctx.solver_threads,
-                                       incremental_param(ctx))
+                                       fidelity.incremental)
           : exp::run_trace_replay(options);
 
   ctx.metrics.scalar("transport", scheme_token(ctx.scheme));
@@ -1016,19 +964,7 @@ void run_trace_replay_scenario(RunContext& ctx) {
   for (const auto& flow : result.flows) {
     if (flow.completed) fcts.push_back(flow.fct_seconds * 1e6);
   }
-  std::sort(fcts.begin(), fcts.end());
-  MetricTable& fct = ctx.metrics.table(
-      "fct", {"completed", "incomplete", "min_us", "mean_us", "p50_us",
-              "p95_us", "p99_us", "max_us"});
-  fct.add_row({result.completed, result.incomplete,
-               fcts.empty() ? std::numeric_limits<double>::quiet_NaN()
-                            : fcts.front(),
-               fcts.empty() ? std::numeric_limits<double>::quiet_NaN()
-                            : stats::mean(fcts),
-               percentile_or_nan(fcts, 50), percentile_or_nan(fcts, 95),
-               percentile_or_nan(fcts, 99),
-               fcts.empty() ? std::numeric_limits<double>::quiet_NaN()
-                            : fcts.back()});
+  emit_fct_table(ctx, result.completed, result.incomplete, std::move(fcts));
   MetricTable& flows = ctx.metrics.table(
       "flows",
       {"src", "dst", "size_bytes", "arrival_ms", "completed", "fct_us"});
@@ -1047,69 +983,42 @@ void run_trace_replay_scenario(RunContext& ctx) {
 // the packet substrate cannot represent this scale.
 // ---------------------------------------------------------------------------
 
-void run_mega_fct_scenario(RunContext& ctx) {
-  // Unlike the dual-fidelity scenarios this one *defaults* to flow (matching
-  // its declared ParamSpec default); only an explicit fidelity=packet lands
-  // in the rejection below.
-  if (ctx.options.get("fidelity", "flow") != "flow") {
+void run_mega_fct_scenario(RunContext& ctx, const Knobs& k) {
+  const transport::Scheme scheme = scheme_for(ctx);
+  const Fidelity fidelity = read_fidelity(k, scheme);
+  // Unlike the dual-fidelity scenarios this one declares flow as its
+  // default; only an explicit fidelity=packet lands here.
+  if (!fidelity.flow) {
     throw std::invalid_argument(
         "mega-fct is flow-fidelity only (a packet run at 10^5+ concurrent "
         "flows is the problem this scenario exists to avoid); drop "
         "fidelity=packet");
   }
-  require_flow_capable_scheme(scheme_for(ctx));
-
   exp::MegaFctOptions options;
-  const PresetDefaults preset = preset_defaults(preset_param(ctx));
-  const std::string shape = ctx.options.get("topology", "32x32x8");
-  if (shape.rfind("jellyfish:", 0) == 0) {
-    net::JellyfishOptions jf;
-    char trailing = 0;
-    if (std::sscanf(shape.c_str(), "jellyfish:%d,%d,%d%c", &jf.switches,
-                    &jf.ports, &jf.hosts, &trailing) != 3 ||
-        jf.switches < 1 || jf.ports < 1 || jf.hosts < 1) {
-      throw std::invalid_argument(
-          "bad topology '" + shape +
-          "' (expected jellyfish:switches,ports,hosts or HxLxS)");
-    }
-    jf.seed = static_cast<std::uint64_t>(ctx.options.get_int("jf_seed", 1));
-    jf.host_rate_bps =
-        ctx.options.get_double("host_gbps", preset.host_gbps) * 1e9;
-    jf.switch_rate_bps =
-        ctx.options.get_double("spine_gbps", preset.spine_gbps) * 1e9;
-    options.jellyfish = jf;
-    const std::int64_t k = ctx.options.get_int("k_paths", 8);
-    if (k < 1) throw std::invalid_argument("k_paths must be >= 1");
-    options.k_paths = static_cast<int>(k);
-  } else {
-    char trailing = 0;
-    if (std::sscanf(shape.c_str(), "%dx%dx%d%c", &options.fabric.hosts_per_leaf,
-                    &options.fabric.leaves, &options.fabric.spines,
-                    &trailing) != 3 ||
-        options.fabric.hosts_per_leaf < 1 || options.fabric.leaves < 1 ||
-        options.fabric.spines < 1) {
-      throw std::invalid_argument("bad topology '" + shape +
-                                  "' (expected HxLxS, e.g. 32x32x8)");
-    }
+  const Fabric fabric = read_fabric(k);
+  options.jellyfish = fabric.jellyfish;
+  options.k_paths = fabric.k_paths;
+  if (!fabric.jellyfish) {
+    // The virtual fabric's rates are in Mbps.
+    const net::LeafSpineOptions& topo = fabric.leaf_spine;
+    options.fabric = {.hosts_per_leaf = topo.hosts_per_leaf,
+                      .leaves = topo.num_leaves,
+                      .spines = topo.num_spines,
+                      .host_rate = topo.host_rate_bps / 1e6,
+                      .leaf_spine_rate = topo.spine_rate_bps / 1e6};
   }
-  // Gbps knobs -> the engine's Mbps rate units.
-  options.fabric.host_rate =
-      ctx.options.get_double("host_gbps", preset.host_gbps) * 1e3;
-  options.fabric.leaf_spine_rate =
-      ctx.options.get_double("spine_gbps", preset.spine_gbps) * 1e3;
-  options.concurrent =
-      static_cast<int>(ctx.options.get_int("concurrent", 100'000));
-  options.sizes = &distribution_param(ctx, "websearch");
-  options.alpha = ctx.options.get_double("alpha", 1.0);
-  options.resolve_interval_seconds = resolve_interval_param(ctx, 1000);
-  options.horizon_seconds = ctx.options.get_double("horizon_s", 30.0);
-  options.solver_tolerance = ctx.options.get_double("tolerance", 1e-5);
+  options.concurrent = k.integer("concurrent");
+  options.sizes = &distribution_param(ctx, k);
+  options.alpha = k.real("alpha");
+  options.resolve_interval_seconds = fidelity.resolve_seconds;
+  options.horizon_seconds = k.real("horizon_s");
+  options.solver_tolerance = k.real("tolerance");
   options.solver_threads = ctx.solver_threads;
-  options.incremental = incremental_param(ctx);
-  options.seed = static_cast<std::uint64_t>(ctx.options.get_int("seed", 1));
+  options.incremental = fidelity.incremental;
+  options.seed = k.seed("seed");
   const exp::MegaFctResult result = exp::run_mega_fct(options);
 
-  ctx.metrics.scalar("transport", scheme_token(scheme_for(ctx)));
+  ctx.metrics.scalar("transport", scheme_token(scheme));
   ctx.metrics.scalar("hosts", result.hosts);
   ctx.metrics.scalar("links", result.links);
   ctx.metrics.scalar("flow_count", options.concurrent);
@@ -1132,20 +1041,332 @@ void run_mega_fct_scenario(RunContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Registration.
+// The catalog.
 // ---------------------------------------------------------------------------
 
-std::vector<ParamSpec> semi_dynamic_params() {
-  return merge_params(
-      topology_params(),
-      {{"paths", "240", "random host-pair paths (full scale: 1000)"},
-       {"initial_active", "100", "flows active before the first event"},
-       {"flows_per_event", "25", "flows started/stopped per network event"},
-       {"events", "8", "measured network events (full scale: 100)"},
-       {"min_active", "75", "lower bound on concurrently active flows"},
-       {"max_active", "125", "upper bound on concurrently active flows"},
-       {"alpha", "1", "alpha-fairness of the NUM objective"},
-       {"seed", "1", "workload RNG seed"}});
+using Body = void (*)(RunContext&, const Knobs&);
+
+/// A scenario's registry entry, with a body that takes its knobs.
+struct Declared {
+  std::string name;
+  std::string figure;  // paper figure/table ("" for exploratory scenarios)
+  std::string description;
+  std::vector<ParamSpec> params;
+  Body body;
+};
+
+/// The two trace-driven FCT sweeps differ only in their default workload.
+Declared fct_sweep_scenario(const exp::Scale& s, const std::string& workload,
+                            const std::string& sizes) {
+  return {.name = workload + "-fct", .figure = "",
+          .description = "normalized-FCT sweep over loads, " + sizes +
+                         " flow sizes, any transport",
+          .params = merge_params(
+              {topology_params(s, true), fidelity_params(),
+               {transport_param(),
+                {"workload", workload, "websearch | enterprise | datamining"},
+                {"loads", "0.2,0.4,0.6,0.8", "offered loads to sweep"},
+                {"load", "", "single offered load (overrides loads)"},
+                {"flows", std::to_string(s.dynamic_flow_count / 2),
+                 "Poisson arrivals per load"},
+                {"alpha", "1", "alpha-fairness of the NUM objective"},
+                {"horizon_ms", "20000", "hard stop for stragglers"},
+                {"seed", "13", "workload RNG seed"}}}),
+          .body = run_fct_sweep};
+}
+
+/// Every scenario's declaration at one scale: quick for --describe and
+/// ordinary runs, full under --full.
+std::vector<Declared> catalog(const exp::Scale& s) {
+  // Control-parameter defaults are NUMFabric's own (Table 2).
+  const transport::NumFabricConfig numfabric;
+  return {
+      {.name = "convergence", .figure = "Fig. 4a",
+       .description = "semi-dynamic convergence-time CDF across transports",
+       .params = merge_params(
+           {topology_params(s),
+            population_params(s, 1,
+                              "random host-pair paths (full scale: 1000)",
+                              {"events", std::to_string(s.num_events),
+                               "measured network events (full scale: 100)"}),
+            {{"alpha", "1", "alpha-fairness of the NUM objective"},
+             {"seed", "1", "workload RNG seed"},
+             {"timeout_ms", millis_text(s.convergence_timeout),
+              "per-event convergence verdict timeout"},
+             {"transports", "<--transport>",
+              "comma list of schemes to compare"}}}),
+       .body = run_convergence},
+
+      {.name = "rate-timeseries", .figure = "Fig. 4b,c",
+       .description = "rate trace of one tracked flow across network events",
+       .params = merge_params(
+           {topology_params(s),
+            population_params(s, 2, "random host-pair paths (full scale: 500)",
+                              {"events", "8", "network events to trace"}),
+            {{"alpha", "1", "alpha-fairness of the NUM objective"},
+             {"seed", "7", "workload RNG seed"},
+             {"sample_us", "20", "trace sample interval"},
+             {"event_interval_ms", "4", "fixed gap between network events"}}}),
+       .body = run_rate_timeseries},
+
+      {.name = "dynamic-deviation", .figure = "Fig. 5",
+       .description =
+           "deviation from fluid-oracle rates under Poisson arrivals, by "
+           "BDP-relative size bin",
+       .params = merge_params(
+           {topology_params(s),
+            {{"workload", "websearch", "websearch | enterprise | datamining"},
+             {"load", "0.6", "offered load, fraction of host NIC capacity"},
+             {"flows", std::to_string(s.dynamic_flow_count),
+              "number of Poisson arrivals"},
+             {"alpha", "1", "alpha-fairness of the NUM objective"},
+             {"horizon_ms", "20000", "hard stop for stragglers"},
+             {"seed", "11", "workload RNG seed"},
+             {"transports", "<--transport>",
+              "comma list of schemes to compare"}}}),
+       .body = run_dynamic_deviation},
+
+      {.name = "fct-vs-pfabric", .figure = "Fig. 7",
+       .description =
+           "mean normalized FCT vs load: FCT-min utility against pFabric "
+           "(web-search trace)",
+       .params = merge_params(
+           {topology_params(s),
+            {{"loads",
+              s.full ? "0.2,0.3,0.4,0.5,0.6,0.7,0.8" : "0.2,0.4,0.6,0.8",
+              "offered loads to sweep"},
+             {"load", "", "single offered load (overrides loads)"},
+             {"flows", std::to_string(s.dynamic_flow_count),
+              "Poisson arrivals per load"},
+             {"epsilon", "0.125", "FCT-utility exponent (Table 1 row 3)"},
+             {"slowdown", "2", "control-loop slowdown (§6.2)"},
+             {"seed", "5", "workload RNG seed"}}}),
+       .body = run_fct_vs_pfabric},
+
+      {.name = "resource-pooling", .figure = "Fig. 8",
+       .description =
+           "multipath sub-flows with and without the pooling (aggregate) "
+           "utility on an all-10G leaf-spine",
+       .params = {{"hosts_per_leaf", std::to_string(s.pooling_hosts_per_leaf),
+                   "hosts per leaf (full scale: 16)"},
+                  {"leaves", std::to_string(s.pooling_leaves),
+                   "leaf switches (full scale: 8)"},
+                  {"spines", std::to_string(s.pooling_spines),
+                   "spine switches (full scale: 16)"},
+                  {"spine_gbps", "10", "spine link rate (Fig. 8: all-10G)"},
+                  {"subflows", s.full ? "1,2,3,4,5,6,7,8" : "1,2,4,8",
+                   "sub-flow counts to sweep"},
+                  {"warmup_ms", millis_text(s.warmup),
+                   "settling time before measurement"},
+                  {"measure_ms", millis_text(s.measure),
+                   "goodput measurement window"},
+                  {"seed", "2", "permutation RNG seed"}},
+       .body = run_resource_pooling},
+
+      // Measurement windows track exp::Scale, matching the seed fig9 bench.
+      {.name = "bwfunc-sweep", .figure = "Fig. 9",
+       .description =
+           "bandwidth-function utilities vs the BwE water-filling allocation "
+           "over a capacity sweep",
+       .params = {{"capacities_gbps", "5,10,15,20,25,30,35",
+                   "bottleneck capacities to sweep"},
+                  {"alpha", "5", "derived-utility steepness (§6.3)"},
+                  {"slowdown", "4",
+                   "control-loop slowdown for extreme alphas"},
+                  {"warmup_ms", millis_text(s.warmup),
+                   "settling time (full scale: 10)"},
+                  {"measure_ms", millis_text(s.measure),
+                   "measurement window (full scale: 20)"}},
+       .body = run_bwfunc_sweep},
+
+      {.name = "bwfunc-pooling", .figure = "Fig. 10",
+       .description =
+           "bandwidth functions composed with resource pooling; middle link "
+           "steps 5 -> 17 Gbps mid-run",
+       .params = {{"alpha", "5", "derived-utility steepness"},
+                  {"slowdown", "4", "control-loop slowdown"},
+                  {"middle_before_gbps", "5",
+                   "middle link rate before the step"},
+                  {"middle_after_gbps", "17",
+                   "middle link rate after the step"},
+                  {"switch_ms", "10", "when the middle link steps"},
+                  {"end_ms", "20", "end of the run"}},
+       .body = run_bwfunc_pooling},
+
+      {.name = "incast", .figure = "",
+       .description =
+           "synchronized fan-in burst: `fanin` senders to one receiver "
+           "(FCT mode; flow_kb=0 for long-running rate mode)",
+       .params = traffic_params(
+           s, {{"fanin", "16", "concurrent senders"},
+               {"flow_kb", "64", "KB per sender (0 = long-running)"},
+               {"alpha", "1", "alpha-fairness of the NUM objective"},
+               {"warmup_ms", millis_text(s.warmup),
+                "rate mode: settling time"},
+               {"measure_ms", millis_text(s.measure),
+                "rate mode: measurement window"},
+               {"horizon_ms", "5000", "FCT mode: hard stop"},
+               {"seed", "1", "sender/receiver selection seed"}}),
+       .body = [](RunContext& ctx, const Knobs& k) {
+         run_traffic(ctx, k, exp::TrafficPattern::kIncast);
+       }},
+
+      {.name = "permutation", .figure = "",
+       .description =
+           "random perfect-matching traffic, long-running flows: throughput "
+           "fraction and Jain fairness",
+       .params = traffic_params(
+           s, {{"flow_kb", "0", "KB per flow (0 = long-running)"},
+               {"alpha", "1", "alpha-fairness of the NUM objective"},
+               {"warmup_ms", millis_text(s.warmup), "settling time"},
+               {"measure_ms", millis_text(s.measure), "measurement window"},
+               {"horizon_ms", "5000", "FCT mode: hard stop"},
+               {"seed", "1", "matching RNG seed"}}),
+       .body = [](RunContext& ctx, const Knobs& k) {
+         run_traffic(ctx, k, exp::TrafficPattern::kPermutation);
+       }},
+
+      {.name = "shuffle", .figure = "",
+       .description =
+           "all-to-all shuffle wave: every host pair transfers flow_kb, "
+           "completion times reported",
+       .params = traffic_params(
+           s, {{"flow_kb", "250", "KB per host pair (0 = long-running)"},
+               {"alpha", "1", "alpha-fairness of the NUM objective"},
+               {"warmup_ms", millis_text(s.warmup),
+                "rate mode: settling time"},
+               {"measure_ms", millis_text(s.measure),
+                "rate mode: measurement window"},
+               {"horizon_ms", "5000", "hard stop"},
+               {"seed", "1", "RNG seed"}}),
+       .body = [](RunContext& ctx, const Knobs& k) {
+         run_traffic(ctx, k, exp::TrafficPattern::kAllToAll);
+       }},
+
+      fct_sweep_scenario(s, "websearch", "web-search"),
+      fct_sweep_scenario(s, "datamining", "data-mining (VL2-style)"),
+
+      {.name = "oversub-fabric", .figure = "",
+       .description =
+           "permutation background + all-to-all shuffle wave on a contended "
+           "core: core-link utilization, xWI price re-convergence, wave FCTs",
+       .params = merge_params(
+           {topology_params(s),
+            {transport_param(),
+             {"core_buffer_kb", "0",
+              "core per-port buffer KB (0 = edge buffer)"},
+             {"shuffle_kb", "50", "KB per host pair in the shuffle wave"},
+             {"alpha", "1", "alpha-fairness of the NUM objective"},
+             {"warmup_ms", "2",
+              "background settling time; the wave starts here"},
+             {"measure_ms", "4",
+              "utilization / goodput window after the wave"},
+             {"horizon_ms", "200", "hard stop for wave stragglers"},
+             {"seed", "1", "workload RNG seed"}}}),
+       .body = run_oversub_fabric_scenario},
+
+      {.name = "background-burst", .figure = "",
+       .description =
+           "long-running background flows plus periodic synchronized incast "
+           "bursts: burst FCTs vs background-throughput interference",
+       .params = merge_params(
+           {topology_params(s),
+            {transport_param(),
+             {"core_buffer_kb", "0",
+              "core per-port buffer KB (0 = edge buffer)"},
+             {"background_load", "0.5",
+              "fraction of the host permutation kept as background flows"},
+             {"fanin", "8", "concurrent senders per burst"},
+             {"burst_kb", "20", "KB per sender per burst"},
+             {"burst_interval_ms", "1", "gap between synchronized bursts"},
+             {"bursts", "4", "number of bursts"},
+             {"alpha", "1", "alpha-fairness of the NUM objective"},
+             {"warmup_ms", "2",
+              "background settling time (>= burst_interval_ms / 2)"},
+             {"horizon_ms", "500", "hard stop for burst stragglers"},
+             {"seed", "1", "workload RNG seed"}}}),
+       .body = run_background_burst_scenario},
+
+      {.name = "sensitivity", .figure = "Fig. 6",
+       .description =
+           "one semi-dynamic convergence point at explicit NUMFabric control "
+           "parameters (grid it with --sweep)",
+       .params = merge_params(
+           {topology_params(s),
+            population_params(s, 4,
+                              "random host-pair paths (1/4 of convergence)",
+                              {"events", s.full ? "30" : "4",
+                               "measured network events (full scale: 30)"}),
+            {{"timeout_ms", millis_text(s.convergence_timeout),
+              "per-event convergence verdict timeout"},
+             {"alpha", "1", "alpha-fairness of the NUM objective"},
+             {"dt_us", number(sim::to_micros(numfabric.dt_slack)),
+              "Swift delay slack d_t (Table 2: 6 us)"},
+             {"interval_us",
+              number(sim::to_micros(numfabric.price_update_interval)),
+              "xWI price update interval (Table 2: 30 us)"},
+             {"eta", number(numfabric.eta),
+              "xWI under-utilization gain (Eq. 10)"},
+             {"beta", number(numfabric.beta),
+              "xWI price averaging factor (Eq. 11)"},
+             {"slowdown", "1", "control-loop slowdown factor (§6.2)"},
+             {"seed", "21", "workload RNG seed"}}}),
+       .body = run_sensitivity},
+
+      {.name = "trace-replay", .figure = "",
+       .description =
+           "replay an external arrival/size/src/dst trace CSV and report "
+           "flow completion times",
+       .params = merge_params(
+           {topology_params(s), fidelity_params(),
+            {{"trace", "",
+              "trace CSV path (arrival_s,size_bytes,src,dst); empty = "
+              "built-in demo trace"},
+             {"alpha", "1", "alpha-fairness of the NUM objective"},
+             {"horizon_ms", "20000", "hard stop for stragglers"}}}),
+       .body = run_trace_replay_scenario},
+
+      {.name = "mega-fct", .figure = "",
+       .description =
+           "10^5-10^6 concurrent flows through the flow-fluid engine on a "
+           "virtual leaf-spine (flow fidelity only)",
+       .params =
+           {{"fidelity", "flow",
+             "flow (this scenario has no packet mode; fidelity=packet "
+             "is rejected)"},
+            {"resolve_us", "1000",
+             "epoch-grid re-solve period in us (must be > 0 at this "
+             "scale)"},
+            {"incremental", "on",
+             "on | off — incremental (worklist) NUM re-solves; same "
+             "tolerance as full solves but not bit-identical"},
+            {"topology", "32x32x8",
+             "virtual fabric shape: HxLxS (hosts_per_leaf x leaves x "
+             "spines) or jellyfish:switches,ports,hosts"},
+            {"host_gbps", number(kClassic.host_gbps),
+             "host NIC rate (preset=modern default: 400)"},
+            {"spine_gbps", number(kClassic.spine_gbps),
+             "leaf-to-spine / switch-to-switch link rate "
+             "(preset=modern: 1600)"},
+            {"preset", "classic",
+             "parameter preset: classic or modern (see topology "
+             "scenarios)"},
+            {"jf_seed", "1",
+             "jellyfish only: random-regular-graph wiring seed"},
+            {"k_paths", "8",
+             "jellyfish only: k-shortest paths per switch pair"},
+            {"concurrent", "100000", "concurrent flows, all at t = 0"},
+            {"workload", "websearch", "websearch | enterprise | datamining"},
+            {"alpha", "1", "alpha-fairness of the NUM objective"},
+            {"horizon_s", "30", "simulated-time hard stop"},
+            {"tolerance", "1e-5",
+             "solver price tolerance (grid FCTs are quantized to "
+             "resolve_us, so 1e-8 precision only buys sweeps)"},
+            {"transport", "<--transport>",
+             "scheme label for the run (numfabric or dgd)"},
+            {"seed", "1", "workload RNG seed"}},
+       .body = run_mega_fct_scenario},
+  };
 }
 
 }  // namespace
@@ -1153,335 +1374,22 @@ std::vector<ParamSpec> semi_dynamic_params() {
 void register_builtin_scenarios() {
   ScenarioRegistry& registry = ScenarioRegistry::global();
   if (!registry.empty()) return;  // idempotent
-
-  registry.add(Scenario{
-      .name = "convergence",
-      .description = "semi-dynamic convergence-time CDF across transports",
-      .figure = "Fig. 4a",
-      .params = merge_params(semi_dynamic_params(),
-                             {{"timeout_ms", "20",
-                               "per-event convergence verdict timeout"},
-                              {"transports", "<--transport>",
-                               "comma list of schemes to compare"}}),
-      .run = run_convergence});
-
-  registry.add(Scenario{
-      .name = "rate-timeseries",
-      .description = "rate trace of one tracked flow across network events",
-      .figure = "Fig. 4b,c",
-      // Defaults are half the convergence scenario's population (the seed
-      // fig4bc setup) and must match run_rate_timeseries' fallbacks.
-      .params = merge_params(
-          topology_params(),
-          {{"paths", "120", "random host-pair paths (full scale: 500)"},
-           {"initial_active", "50", "flows active before the first event"},
-           {"flows_per_event", "12", "flows started/stopped per network event"},
-           {"events", "8", "network events to trace"},
-           {"min_active", "37", "lower bound on concurrently active flows"},
-           {"max_active", "62", "upper bound on concurrently active flows"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"seed", "7", "workload RNG seed"},
-           {"sample_us", "20", "trace sample interval"},
-           {"event_interval_ms", "4", "fixed gap between network events"}}),
-      .run = run_rate_timeseries});
-
-  registry.add(Scenario{
-      .name = "dynamic-deviation",
-      .description =
-          "deviation from fluid-oracle rates under Poisson arrivals, by "
-          "BDP-relative size bin",
-      .figure = "Fig. 5",
-      .params = merge_params(
-          topology_params(),
-          {{"workload", "websearch", "websearch | enterprise | datamining"},
-           {"load", "0.6", "offered load, fraction of host NIC capacity"},
-           {"flows", "1200", "number of Poisson arrivals"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"horizon_ms", "20000", "hard stop for stragglers"},
-           {"seed", "11", "workload RNG seed"},
-           {"transports", "<--transport>",
-            "comma list of schemes to compare"}}),
-      .run = run_dynamic_deviation});
-
-  registry.add(Scenario{
-      .name = "fct-vs-pfabric",
-      .description =
-          "mean normalized FCT vs load: FCT-min utility against pFabric "
-          "(web-search trace)",
-      .figure = "Fig. 7",
-      .params = merge_params(
-          topology_params(),
-          {{"loads", "0.2,0.4,0.6,0.8", "offered loads to sweep"},
-           {"load", "", "single offered load (overrides loads)"},
-           {"flows", "1200", "Poisson arrivals per load"},
-           {"epsilon", "0.125", "FCT-utility exponent (Table 1 row 3)"},
-           {"slowdown", "2", "control-loop slowdown (§6.2)"},
-           {"seed", "5", "workload RNG seed"}}),
-      .run = run_fct_vs_pfabric});
-
-  registry.add(Scenario{
-      .name = "resource-pooling",
-      .description =
-          "multipath sub-flows with and without the pooling (aggregate) "
-          "utility on an all-10G leaf-spine",
-      .figure = "Fig. 8",
-      .params = {{"hosts_per_leaf", "8", "hosts per leaf (full scale: 16)"},
-                 {"leaves", "4", "leaf switches (full scale: 8)"},
-                 {"spines", "8", "spine switches (full scale: 16)"},
-                 {"spine_gbps", "10", "spine link rate (Fig. 8: all-10G)"},
-                 {"subflows", "1,2,4,8", "sub-flow counts to sweep"},
-                 {"warmup_ms", "8", "settling time before measurement"},
-                 {"measure_ms", "12", "goodput measurement window"},
-                 {"seed", "2", "permutation RNG seed"}},
-      .run = run_resource_pooling});
-
-  registry.add(Scenario{
-      .name = "bwfunc-sweep",
-      .description =
-          "bandwidth-function utilities vs the BwE water-filling allocation "
-          "over a capacity sweep",
-      .figure = "Fig. 9",
-      .params = {{"capacities_gbps", "5,10,15,20,25,30,35",
-                  "bottleneck capacities to sweep"},
-                 {"alpha", "5", "derived-utility steepness (§6.3)"},
-                 {"slowdown", "4", "control-loop slowdown for extreme alphas"},
-                 {"warmup_ms", "8", "settling time (full scale: 10)"},
-                 {"measure_ms", "12", "measurement window (full scale: 20)"}},
-      .run = run_bwfunc_sweep});
-
-  registry.add(Scenario{
-      .name = "bwfunc-pooling",
-      .description =
-          "bandwidth functions composed with resource pooling; middle link "
-          "steps 5 -> 17 Gbps mid-run",
-      .figure = "Fig. 10",
-      .params = {{"alpha", "5", "derived-utility steepness"},
-                 {"slowdown", "4", "control-loop slowdown"},
-                 {"middle_before_gbps", "5", "middle link rate before the step"},
-                 {"middle_after_gbps", "17", "middle link rate after the step"},
-                 {"switch_ms", "10", "when the middle link steps"},
-                 {"end_ms", "20", "end of the run"}},
-      .run = run_bwfunc_pooling});
-
-  registry.add(Scenario{
-      .name = "incast",
-      .description =
-          "synchronized fan-in burst: `fanin` senders to one receiver "
-          "(FCT mode; flow_kb=0 for long-running rate mode)",
-      .figure = "",
-      .params = merge_params(
-          merge_params(topology_params(true), fidelity_params()),
-          {transport_param(),
-           {"core_buffer_kb", "0", "core per-port buffer KB (0 = edge buffer)"},
-           {"fanin", "16", "concurrent senders"},
-           {"flow_kb", "64", "KB per sender (0 = long-running)"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"warmup_ms", "8", "rate mode: settling time"},
-           {"measure_ms", "12", "rate mode: measurement window"},
-           {"horizon_ms", "5000", "FCT mode: hard stop"},
-           {"seed", "1", "sender/receiver selection seed"}}),
-      .run = [](RunContext& ctx) {
-        run_traffic(ctx, exp::TrafficPattern::kIncast, 64);
-      }});
-
-  registry.add(Scenario{
-      .name = "permutation",
-      .description =
-          "random perfect-matching traffic, long-running flows: throughput "
-          "fraction and Jain fairness",
-      .figure = "",
-      .params = merge_params(
-          merge_params(topology_params(true), fidelity_params()),
-          {transport_param(),
-           {"core_buffer_kb", "0", "core per-port buffer KB (0 = edge buffer)"},
-           {"flow_kb", "0", "KB per flow (0 = long-running)"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"warmup_ms", "8", "settling time"},
-           {"measure_ms", "12", "measurement window"},
-           {"horizon_ms", "5000", "FCT mode: hard stop"},
-           {"seed", "1", "matching RNG seed"}}),
-      .run = [](RunContext& ctx) {
-        run_traffic(ctx, exp::TrafficPattern::kPermutation, 0);
-      }});
-
-  registry.add(Scenario{
-      .name = "shuffle",
-      .description =
-          "all-to-all shuffle wave: every host pair transfers flow_kb, "
-          "completion times reported",
-      .figure = "",
-      .params = merge_params(
-          merge_params(topology_params(true), fidelity_params()),
-          {transport_param(),
-           {"core_buffer_kb", "0", "core per-port buffer KB (0 = edge buffer)"},
-           {"flow_kb", "250", "KB per host pair (0 = long-running)"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"warmup_ms", "8", "rate mode: settling time"},
-           {"measure_ms", "12", "rate mode: measurement window"},
-           {"horizon_ms", "5000", "hard stop"},
-           {"seed", "1", "RNG seed"}}),
-      .run = [](RunContext& ctx) {
-        run_traffic(ctx, exp::TrafficPattern::kAllToAll, 250);
-      }});
-
-  registry.add(Scenario{
-      .name = "websearch-fct",
-      .description =
-          "normalized-FCT sweep over loads, web-search flow sizes, any "
-          "transport",
-      .figure = "",
-      .params = merge_params(
-          merge_params(topology_params(true), fidelity_params()),
-          {transport_param(),
-           {"workload", "websearch", "websearch | enterprise | datamining"},
-           {"loads", "0.2,0.4,0.6,0.8", "offered loads to sweep"},
-           {"load", "", "single offered load (overrides loads)"},
-           {"flows", "600", "Poisson arrivals per load"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"horizon_ms", "20000", "hard stop for stragglers"},
-           {"seed", "13", "workload RNG seed"}}),
-      .run = [](RunContext& ctx) { run_fct_sweep(ctx, "websearch"); }});
-
-  registry.add(Scenario{
-      .name = "datamining-fct",
-      .description =
-          "normalized-FCT sweep over loads, data-mining (VL2-style) flow "
-          "sizes, any transport",
-      .figure = "",
-      .params = merge_params(
-          merge_params(topology_params(true), fidelity_params()),
-          {transport_param(),
-           {"workload", "datamining", "websearch | enterprise | datamining"},
-           {"loads", "0.2,0.4,0.6,0.8", "offered loads to sweep"},
-           {"load", "", "single offered load (overrides loads)"},
-           {"flows", "600", "Poisson arrivals per load"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"horizon_ms", "20000", "hard stop for stragglers"},
-           {"seed", "13", "workload RNG seed"}}),
-      .run = [](RunContext& ctx) { run_fct_sweep(ctx, "datamining"); }});
-
-  registry.add(Scenario{
-      .name = "oversub-fabric",
-      .description =
-          "permutation background + all-to-all shuffle wave on a contended "
-          "core: core-link utilization, xWI price re-convergence, wave FCTs",
-      .figure = "",
-      .params = merge_params(
-          topology_params(),
-          {transport_param(),
-           {"core_buffer_kb", "0", "core per-port buffer KB (0 = edge buffer)"},
-           {"shuffle_kb", "50", "KB per host pair in the shuffle wave"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"warmup_ms", "2", "background settling time; the wave starts here"},
-           {"measure_ms", "4", "utilization / goodput window after the wave"},
-           {"horizon_ms", "200", "hard stop for wave stragglers"},
-           {"seed", "1", "workload RNG seed"}}),
-      .run = run_oversub_fabric_scenario});
-
-  registry.add(Scenario{
-      .name = "background-burst",
-      .description =
-          "long-running background flows plus periodic synchronized incast "
-          "bursts: burst FCTs vs background-throughput interference",
-      .figure = "",
-      .params = merge_params(
-          topology_params(),
-          {transport_param(),
-           {"core_buffer_kb", "0", "core per-port buffer KB (0 = edge buffer)"},
-           {"background_load", "0.5",
-            "fraction of the host permutation kept as background flows"},
-           {"fanin", "8", "concurrent senders per burst"},
-           {"burst_kb", "20", "KB per sender per burst"},
-           {"burst_interval_ms", "1", "gap between synchronized bursts"},
-           {"bursts", "4", "number of bursts"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"warmup_ms", "2",
-            "background settling time (>= burst_interval_ms / 2)"},
-           {"horizon_ms", "500", "hard stop for burst stragglers"},
-           {"seed", "1", "workload RNG seed"}}),
-      .run = run_background_burst_scenario});
-
-  registry.add(Scenario{
-      .name = "sensitivity",
-      .description =
-          "one semi-dynamic convergence point at explicit NUMFabric control "
-          "parameters (grid it with --sweep)",
-      .figure = "Fig. 6",
-      .params = merge_params(
-          topology_params(),
-          {{"paths", "60", "random host-pair paths (1/4 of convergence)"},
-           {"initial_active", "25", "flows active before the first event"},
-           {"flows_per_event", "6", "flows started/stopped per network event"},
-           {"events", "4", "measured network events (full scale: 30)"},
-           {"min_active", "18", "lower bound on concurrently active flows"},
-           {"max_active", "31", "upper bound on concurrently active flows"},
-           {"timeout_ms", "20", "per-event convergence verdict timeout"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"dt_us", "6", "Swift delay slack d_t (Table 2: 6 us)"},
-           {"interval_us", "30", "xWI price update interval (Table 2: 30 us)"},
-           {"eta", "5", "xWI under-utilization gain (Eq. 10)"},
-           {"beta", "0.5", "xWI price averaging factor (Eq. 11)"},
-           {"slowdown", "1", "control-loop slowdown factor (§6.2)"},
-           {"seed", "21", "workload RNG seed"}}),
-      .run = run_sensitivity});
-
-  registry.add(Scenario{
-      .name = "trace-replay",
-      .description =
-          "replay an external arrival/size/src/dst trace CSV and report "
-          "flow completion times",
-      .figure = "",
-      .params = merge_params(
-          merge_params(topology_params(), fidelity_params()),
-          {{"trace", "",
-            "trace CSV path (arrival_s,size_bytes,src,dst); empty = built-in "
-            "demo trace"},
-           {"alpha", "1", "alpha-fairness of the NUM objective"},
-           {"horizon_ms", "20000", "hard stop for stragglers"}}),
-      .run = run_trace_replay_scenario});
-
-  registry.add(Scenario{
-      .name = "mega-fct",
-      .description =
-          "10^5-10^6 concurrent flows through the flow-fluid engine on a "
-          "virtual leaf-spine (flow fidelity only)",
-      .figure = "",
-      .params = {{"fidelity", "flow",
-                  "flow (this scenario has no packet mode; fidelity=packet "
-                  "is rejected)"},
-                 {"resolve_us", "1000",
-                  "epoch-grid re-solve period in us (must be > 0 at this "
-                  "scale)"},
-                 {"incremental", "on",
-                  "on | off — incremental (worklist) NUM re-solves; same "
-                  "tolerance as full solves but not bit-identical"},
-                 {"topology", "32x32x8",
-                  "virtual fabric shape: HxLxS (hosts_per_leaf x leaves x "
-                  "spines) or jellyfish:switches,ports,hosts"},
-                 {"host_gbps", "10",
-                  "host NIC rate (preset=modern default: 400)"},
-                 {"spine_gbps", "40",
-                  "leaf-to-spine / switch-to-switch link rate "
-                  "(preset=modern: 1600)"},
-                 {"preset", "classic",
-                  "parameter preset: classic or modern (see topology "
-                  "scenarios)"},
-                 {"jf_seed", "1",
-                  "jellyfish only: random-regular-graph wiring seed"},
-                 {"k_paths", "8",
-                  "jellyfish only: k-shortest paths per switch pair"},
-                 {"concurrent", "100000", "concurrent flows, all at t = 0"},
-                 {"workload", "websearch",
-                  "websearch | enterprise | datamining"},
-                 {"alpha", "1", "alpha-fairness of the NUM objective"},
-                 {"horizon_s", "30", "simulated-time hard stop"},
-                 {"tolerance", "1e-5",
-                  "solver price tolerance (grid FCTs are quantized to "
-                  "resolve_us, so 1e-8 precision only buys sweeps)"},
-                 {"transport", "<--transport>",
-                  "scheme label for the run (numfabric or dgd)"},
-                 {"seed", "1", "workload RNG seed"}},
-      .run = run_mega_fct_scenario});
+  std::vector<Declared> quick = catalog(exp::quick_scale());
+  for (std::size_t i = 0; i < quick.size(); ++i) {
+    // Each run reads its knobs through the declarations at its own scale
+    // (catalog() lists the scenarios in the same order at every scale).
+    registry.add(Scenario{
+        .name = quick[i].name,
+        .description = quick[i].description,
+        .figure = quick[i].figure,
+        .params = quick[i].params,
+        .run = [i](RunContext& ctx) {
+          const Declared declared = std::move(catalog(
+              ctx.full_scale ? exp::full_scale() : exp::quick_scale())[i]);
+          declared.body(ctx,
+                        Knobs(declared.name, declared.params, ctx.options));
+        }});
+  }
 }
 
 }  // namespace numfabric::app

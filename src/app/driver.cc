@@ -2,10 +2,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -13,6 +11,7 @@
 #include "app/run_plan.h"
 #include "app/scenario.h"
 #include "app/sweep.h"
+#include "exp/common.h"
 #include "util/parse.h"
 #include "util/worker_pool.h"
 
@@ -92,9 +91,30 @@ int print_describe(const std::string& name) {
   return 0;
 }
 
-bool env_full_scale() {
-  const char* env = std::getenv("NUMFABRIC_FULL");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
+/// Rejects a key the scenario does not declare, so typos fail loudly instead
+/// of silently running defaults.  `fidelity` gets a pointed message: the
+/// knob exists, this scenario just has no flow-fluid model (a generic
+/// "unknown parameter" would read like a typo).
+bool declared_or_reported(const Scenario& scenario, const std::string& key,
+                          bool swept) {
+  for (const ParamSpec& param : scenario.params) {
+    if (param.key == key) return true;
+  }
+  if (key == "fidelity") {
+    std::fprintf(stderr,
+                 "scenario %s is packet-only: it has no flow-fluid model, so "
+                 "fidelity= %s (--list shows each scenario's fidelity "
+                 "support)\n",
+                 scenario.name.c_str(),
+                 swept ? "cannot be swept" : "does not apply");
+  } else {
+    std::fprintf(stderr,
+                 "scenario %s does not take %sparameter '%s' (see "
+                 "--describe=%s)\n",
+                 scenario.name.c_str(), swept ? "swept " : "", key.c_str(),
+                 scenario.name.c_str());
+  }
+  return false;
 }
 
 }  // namespace
@@ -104,7 +124,7 @@ int run_cli(const std::vector<std::string>& args) {
 
   std::string scenario_name, config_path, format = "csv", output_path;
   std::string transport = "numfabric";
-  bool full = env_full_scale();
+  bool full = exp::scale_from_env().full;
   bool vary_seed = false;
   int jobs = 1;
   int solver_threads = 1;
@@ -116,6 +136,17 @@ int run_cli(const std::vector<std::string>& args) {
     const std::string& arg = args[i];
     const auto value_of = [&arg](const char* prefix) {
       return arg.substr(std::string(prefix).size());
+    };
+    // --jobs and --solver-threads: 0 = all cores.
+    const auto thread_count = [&](const std::string& flag, int& out) {
+      const auto value = util::parse_int(value_of((flag + "=").c_str()));
+      if (!value || *value < 0 || *value > 4096) {
+        std::fprintf(stderr, "bad %s value '%s' (expected 0..4096)\n",
+                     flag.c_str(), arg.c_str());
+        return false;
+      }
+      out = static_cast<int>(*value);
+      return true;
     };
     if (arg == "--help" || arg == "-h") {
       print_usage(stdout);
@@ -144,22 +175,9 @@ int run_cli(const std::vector<std::string>& args) {
       }
       sweep_tokens.push_back(args[++i]);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      const auto value = util::parse_int(value_of("--jobs="));
-      if (!value || *value < 0 || *value > 4096) {
-        std::fprintf(stderr, "bad --jobs value '%s' (expected 0..4096)\n",
-                     arg.c_str());
-        return 2;
-      }
-      jobs = static_cast<int>(*value);
+      if (!thread_count("--jobs", jobs)) return 2;
     } else if (arg.rfind("--solver-threads=", 0) == 0) {
-      const auto value = util::parse_int(value_of("--solver-threads="));
-      if (!value || *value < 0 || *value > 4096) {
-        std::fprintf(stderr,
-                     "bad --solver-threads value '%s' (expected 0..4096)\n",
-                     arg.c_str());
-        return 2;
-      }
-      solver_threads = static_cast<int>(*value);
+      if (!thread_count("--solver-threads", solver_threads)) return 2;
     } else if (arg == "--solver-stats") {
       solver_stats = true;
     } else if (arg == "--vary-seed") {
@@ -191,30 +209,8 @@ int run_cli(const std::vector<std::string>& args) {
     if (!config_path.empty()) options.merge(Options::from_file(config_path));
     options.merge(Options::from_tokens(param_tokens));
 
-    // Reject keys the scenario does not declare: typos fail loudly instead
-    // of silently running defaults.
-    std::set<std::string> declared;
-    for (const ParamSpec& param : scenario->params) declared.insert(param.key);
     for (const auto& [key, value] : options.values()) {
-      if (declared.count(key) == 0) {
-        // `fidelity` gets a pointed message: the knob exists, this scenario
-        // just has no flow-fluid model (a generic "unknown parameter" would
-        // read like a typo).
-        if (key == "fidelity") {
-          std::fprintf(stderr,
-                       "scenario %s is packet-only: it has no flow-fluid "
-                       "model, so fidelity= does not apply "
-                       "(--list shows each scenario's fidelity support)\n",
-                       scenario->name.c_str());
-          return 2;
-        }
-        std::fprintf(stderr,
-                     "scenario %s does not take parameter '%s' "
-                     "(see --describe=%s)\n",
-                     scenario->name.c_str(), key.c_str(),
-                     scenario->name.c_str());
-        return 2;
-      }
+      if (!declared_or_reported(*scenario, key, false)) return 2;
     }
 
     // Sweep flags are usage errors when malformed, so validate them (and
@@ -232,22 +228,7 @@ int run_cli(const std::vector<std::string>& args) {
         return 2;
       }
       for (const SweepSpec& spec : specs) {
-        if (declared.count(spec.key) == 0) {
-          if (spec.key == "fidelity") {
-            std::fprintf(stderr,
-                         "scenario %s is packet-only: it has no flow-fluid "
-                         "model, so fidelity= cannot be swept "
-                         "(--list shows each scenario's fidelity support)\n",
-                         scenario->name.c_str());
-            return 2;
-          }
-          std::fprintf(stderr,
-                       "scenario %s does not take swept parameter '%s' "
-                       "(see --describe=%s)\n",
-                       scenario->name.c_str(), spec.key.c_str(),
-                       scenario->name.c_str());
-          return 2;
-        }
+        if (!declared_or_reported(*scenario, spec.key, true)) return 2;
         if (options.has(spec.key)) {
           std::fprintf(stderr,
                        "parameter '%s' is both fixed (%s=%s) and swept\n",

@@ -4,10 +4,10 @@
 //   numfabric_run --list
 //   numfabric_run --describe=incast
 //   numfabric_run --scenario=incast --transport=numfabric fanin=32
-//   numfabric_run --scenario=convergence transports=numfabric,dgd,rcp \
+//   numfabric_run --scenario=convergence transports=numfabric,dgd,rcp
 //                 --format=json --output=conv.json
 //   numfabric_run --scenario=permutation --config=sweep.conf
-//   numfabric_run --scenario=websearch-fct --sweep load=0.2,0.4,0.6,0.8 \
+//   numfabric_run --scenario=websearch-fct --sweep load=0.2,0.4,0.6,0.8
 //                 --jobs=4
 //
 // Global flags: --scenario, --transport (default numfabric), --config,

@@ -1,8 +1,7 @@
 #include "app/options.h"
 
-#include <algorithm>
-#include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,10 +12,32 @@ namespace {
 
 using util::trim;
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
+double to_double(const std::string& key, const std::string& text) {
+  const auto value = util::parse_double(text);
+  if (!value) {
+    throw std::invalid_argument("option " + key + ": '" + text +
+                                "' is not a number");
+  }
+  return *value;
+}
+
+std::int64_t to_int(const std::string& key, const std::string& text) {
+  const auto value = util::parse_int(text);
+  if (!value) {
+    throw std::invalid_argument("option " + key + ": '" + text +
+                                "' is not an integer");
+  }
+  return *value;
+}
+
+int to_int32(const std::string& key, const std::string& text) {
+  const std::int64_t value = to_int(key, text);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("option " + key + ": '" + text +
+                                "' is out of range for an int");
+  }
+  return static_cast<int>(value);
 }
 
 }  // namespace
@@ -97,39 +118,18 @@ std::string Options::get(const std::string& key,
 
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const auto value = util::parse_double(it->second);
-  if (!value) {
-    throw std::invalid_argument("option " + key + ": '" + it->second +
-                                "' is not a number");
-  }
-  return *value;
+  return it == values_.end() ? fallback : to_double(key, it->second);
 }
 
 std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const auto value = util::parse_int(it->second);
-  if (!value) {
-    throw std::invalid_argument("option " + key + ": '" + it->second +
-                                "' is not an integer");
-  }
-  return *value;
+  return it == values_.end() ? fallback : to_int(key, it->second);
 }
 
-bool Options::get_bool(const std::string& key, bool fallback) const {
+int Options::get_int32(const std::string& key, int fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string value = lower(it->second);
-  if (value == "true" || value == "1" || value == "yes" || value == "on") {
-    return true;
-  }
-  if (value == "false" || value == "0" || value == "no" || value == "off") {
-    return false;
-  }
-  throw std::invalid_argument("option " + key + ": '" + it->second +
-                              "' is not a boolean");
+  return it == values_.end() ? fallback : to_int32(key, it->second);
 }
 
 std::vector<std::string> Options::get_list(
@@ -151,12 +151,7 @@ std::vector<double> Options::get_double_list(
   if (!has(key)) return fallback;
   std::vector<double> out;
   for (const std::string& item : get_list(key, {})) {
-    const auto value = util::parse_double(item);
-    if (!value) {
-      throw std::invalid_argument("option " + key + ": '" + item +
-                                  "' is not a number");
-    }
-    out.push_back(*value);
+    out.push_back(to_double(key, item));
   }
   return out;
 }
@@ -166,12 +161,7 @@ std::vector<int> Options::get_int_list(const std::string& key,
   if (!has(key)) return fallback;
   std::vector<int> out;
   for (const std::string& item : get_list(key, {})) {
-    const auto value = util::parse_int(item);
-    if (!value) {
-      throw std::invalid_argument("option " + key + ": '" + item +
-                                  "' is not an integer");
-    }
-    out.push_back(static_cast<int>(*value));
+    out.push_back(to_int32(key, item));
   }
   return out;
 }

@@ -6,9 +6,9 @@
 // meaning `flag=true`).  Values stay strings until a typed getter parses
 // them, so the store itself has no schema; scenarios declare their schema as
 // ParamSpec lists (scenario.h) — the driver rejects keys no scenario
-// declares, and the run functions supply defaults for absent keys (defaults
-// can depend on quick-vs-full scale, so they are resolved at run time, not
-// stored here).
+// declares, and each scenario reads its keys through its declarations, which
+// supply the default for an absent key (the declarations depend on
+// quick-vs-full scale, so they are built per run, not stored here).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,9 @@ class Options {
   std::string get(const std::string& key, const std::string& fallback) const;
   double get_double(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
+  /// get_int for `int` fields: a value outside int's range throws instead of
+  /// wrapping.
+  int get_int32(const std::string& key, int fallback) const;
   /// Comma-separated list; empty value -> empty list.
   std::vector<std::string> get_list(const std::string& key,
                                     const std::vector<std::string>& fallback) const;
@@ -54,6 +56,7 @@ class Options {
   /// any element throws, same strictness as the scalar getters).
   std::vector<double> get_double_list(const std::string& key,
                                       const std::vector<double>& fallback) const;
+  /// Elements outside int's range throw, as in get_int32.
   std::vector<int> get_int_list(const std::string& key,
                                 const std::vector<int>& fallback) const;
 

@@ -2,9 +2,31 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <utility>
+
+#include "util/parse.h"
 
 namespace numfabric::app {
+
+Knobs::Knobs(std::string scenario, const std::vector<ParamSpec>& declared,
+             const Options& given)
+    : scenario_(std::move(scenario)) {
+  for (const ParamSpec& spec : declared) {
+    values_.set(spec.key, given.get(spec.key, spec.default_value));
+    if (given.has(spec.key)) given_.insert(spec.key);
+  }
+}
+
+const std::string& Knobs::checked(const std::string& key) const {
+  if (!declares(key)) {
+    throw std::logic_error("scenario " + scenario_ +
+                           " reads undeclared knob '" + key + "'");
+  }
+  return key;
+}
 
 ScenarioRegistry& ScenarioRegistry::global() {
   static ScenarioRegistry registry;
@@ -63,6 +85,37 @@ std::string scheme_token(transport::Scheme scheme) {
     case transport::Scheme::kPFabric: return "pfabric";
   }
   return "?";
+}
+
+std::array<int, 3> parse_topology_token(const std::string& token,
+                                        bool allow_jellyfish) {
+  const std::string prefix = "jellyfish:";
+  const bool jellyfish = allow_jellyfish && token.rfind(prefix, 0) == 0;
+  const std::string body = jellyfish ? token.substr(prefix.size()) : token;
+  const char separator = jellyfish ? ',' : 'x';
+  const std::invalid_argument bad(
+      "bad topology '" + token + "' (expected " +
+      (jellyfish ? "jellyfish:switches,ports,hosts, e.g. jellyfish:12,4,24)"
+                 : "HxLxS, e.g. 16x8x4)"));
+  std::array<int, 3> fields{};
+  std::size_t start = 0;
+  for (std::size_t field = 0; field < 3; ++field) {
+    const std::size_t end = std::min(body.find(separator, start), body.size());
+    const std::string digits = body.substr(start, end - start);
+    // Digits only: parse_int alone would accept a sign or leading blanks.
+    const auto value =
+        digits.find_first_not_of("0123456789") == std::string::npos
+            ? util::parse_int(digits)
+            : std::nullopt;
+    // Fields 1-2 end at a separator, field 3 at the end of the token.
+    if (!value || *value < 1 || *value > std::numeric_limits<int>::max() ||
+        (end == body.size()) != (field == 2)) {
+      throw bad;
+    }
+    fields[field] = static_cast<int>(*value);
+    start = end + 1;
+  }
+  return fields;
 }
 
 }  // namespace numfabric::app

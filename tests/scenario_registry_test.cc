@@ -3,7 +3,10 @@
 // every registered scenario (so CI exercises each one end to end).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <map>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -82,7 +85,7 @@ TEST(OptionsTest, ParsesTokens) {
       {"--alpha=2.5", "flows=100", "--verbose", "name=web search"});
   EXPECT_DOUBLE_EQ(options.get_double("alpha", 0), 2.5);
   EXPECT_EQ(options.get_int("flows", 0), 100);
-  EXPECT_TRUE(options.get_bool("verbose", false));
+  EXPECT_EQ(options.get("verbose", ""), "true");  // bare flag
   EXPECT_EQ(options.get("name", ""), "web search");
   EXPECT_EQ(options.get("absent", "fallback"), "fallback");
 }
@@ -91,7 +94,7 @@ TEST(OptionsTest, TypedGettersRejectGarbage) {
   const Options options = Options::from_tokens({"x=abc"});
   EXPECT_THROW(options.get_double("x", 0), std::invalid_argument);
   EXPECT_THROW(options.get_int("x", 0), std::invalid_argument);
-  EXPECT_THROW(options.get_bool("x", false), std::invalid_argument);
+  EXPECT_THROW(options.get_int32("x", 0), std::invalid_argument);
   EXPECT_THROW(Options::from_tokens({""}), std::invalid_argument);
   EXPECT_THROW(Options::from_tokens({"=v"}), std::invalid_argument);
 }
@@ -132,12 +135,141 @@ TEST(OptionsTest, NumericListsValidateEveryElement) {
   EXPECT_THROW(bad.get_int_list("n", {}), std::invalid_argument);
 }
 
+// Knobs stored in `int` fields must fail outside int's range instead of
+// wrapping (4294967297 used to run as 1).
+TEST(OptionsTest, IntReadsRejectValuesOutsideInt) {
+  const Options options = Options::from_tokens(
+      {"flows=4294967297", "concurrent=4294967306", "subflows=1,4294967297",
+       "max=2147483647", "min=-2147483648", "below=-2147483649"});
+  EXPECT_THROW(options.get_int32("flows", 0), std::invalid_argument);
+  EXPECT_THROW(options.get_int32("concurrent", 0), std::invalid_argument);
+  EXPECT_THROW(options.get_int_list("subflows", {}), std::invalid_argument);
+  EXPECT_THROW(options.get_int32("below", 0), std::invalid_argument);
+  EXPECT_EQ(options.get_int32("max", 0), 2147483647);
+  EXPECT_EQ(options.get_int32("min", 0), -2147483648LL);
+  EXPECT_EQ(options.get_int32("absent", 7), 7);
+  // 64-bit reads (seeds) keep the full range.
+  EXPECT_EQ(options.get_int("flows", 0), 4294967297LL);
+}
+
 TEST(OptionsTest, MergeLaterWins) {
   Options base = Options::from_tokens({"a=1", "b=2"});
   base.merge(Options::from_tokens({"b=3", "c=4"}));
   EXPECT_EQ(base.get_int("a", 0), 1);
   EXPECT_EQ(base.get_int("b", 0), 3);
   EXPECT_EQ(base.get_int("c", 0), 4);
+}
+
+// --- declared knobs --------------------------------------------------------
+
+TEST(KnobsTest, GivenValueElseDeclaredDefault) {
+  const std::vector<ParamSpec> declared = {{"flows", "600", ""},
+                                           {"alpha", "1", ""},
+                                           {"loads", "0.2,0.4", ""},
+                                           {"topology", "", ""}};
+  const Options given = Options::from_tokens({"alpha=2.5", "topology=2x2x1"});
+  const Knobs k("demo", declared, given);
+  EXPECT_EQ(k.integer("flows"), 600);
+  EXPECT_DOUBLE_EQ(k.real("alpha"), 2.5);
+  EXPECT_EQ(k.reals("loads"), (std::vector<double>{0.2, 0.4}));
+  EXPECT_EQ(k.text("topology"), "2x2x1");
+  EXPECT_TRUE(k.given("alpha"));
+  EXPECT_FALSE(k.given("flows"));
+  EXPECT_TRUE(k.declares("flows"));
+  EXPECT_FALSE(k.declares("flow"));
+}
+
+TEST(KnobsTest, UndeclaredReadIsALogicErrorAndBadValuesThrow) {
+  const Knobs k("demo", {{"flows", "600", ""}},
+                Options::from_tokens({"flows=4294967297", "stray=1"}));
+  EXPECT_THROW(k.real("flow"), std::logic_error);
+  EXPECT_THROW(k.given("stray"), std::logic_error);  // given but undeclared
+  EXPECT_THROW(k.integer("flows"), std::invalid_argument);
+  EXPECT_EQ(k.seed("flows"), 4294967297ull);
+}
+
+// --- topology tokens -------------------------------------------------------
+
+// Seeded-random property test of the `topology=` grammar: every valid
+// triple parses back to exactly its fields, and every mutation of it fails
+// with std::invalid_argument naming the token.
+TEST(TopologyTokenTest, RandomTokensParseExactlyOrFailNamingTheToken) {
+  std::mt19937_64 rng(20160822);
+  const auto field = [&rng] {
+    // Mix small fabrics with values up to INT_MAX.
+    return rng() % 2 == 0 ? static_cast<int>(1 + rng() % 64)
+                          : static_cast<int>(1 + rng() % 2147483647);
+  };
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  int tokens = 0;
+  const auto expect_rejected = [&](const std::string& token, bool jellyfish) {
+    ++tokens;
+    try {
+      parse_topology_token(token, jellyfish);
+      ADD_FAILURE() << "accepted '" << token << "'";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("'" + token + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const bool jellyfish = i % 2 == 1;
+    const std::string prefix = jellyfish ? "jellyfish:" : "";
+    const char separator = jellyfish ? ',' : 'x';
+    std::vector<std::string> fields;
+    std::array<int, 3> values{};
+    for (int& value : values) {
+      value = field();
+      fields.push_back(std::to_string(value));
+    }
+    const auto join = [&](const std::vector<std::string>& parts) {
+      std::string token = prefix;
+      for (std::size_t p = 0; p < parts.size(); ++p) {
+        token += (p == 0 ? "" : std::string(1, separator)) + parts[p];
+      }
+      return token;
+    };
+    const std::string valid = join(fields);
+    ++tokens;
+    EXPECT_EQ(parse_topology_token(valid, jellyfish), values) << valid;
+    if (jellyfish) expect_rejected(valid, false);  // leaf-spine-only reader
+
+    const std::size_t f = pick(3);
+    std::vector<std::string> mutated = fields;
+    mutated[f].insert(0, rng() % 2 == 0 ? "+" : "-");  // a sign
+    expect_rejected(join(mutated), jellyfish);
+
+    std::string spaced = valid;  // a space anywhere
+    spaced.insert(pick(spaced.size() + 1), " ");
+    expect_rejected(spaced, jellyfish);
+
+    mutated = fields;  // a 4th field
+    mutated.push_back(std::to_string(field()));
+    expect_rejected(join(mutated), jellyfish);
+
+    mutated = fields;  // a missing field
+    mutated.erase(mutated.begin() + static_cast<std::ptrdiff_t>(f));
+    expect_rejected(join(mutated), jellyfish);
+
+    mutated = fields;  // zero
+    mutated[f] = rng() % 2 == 0 ? "0" : "000";
+    expect_rejected(join(mutated), jellyfish);
+
+    mutated = fields;  // a value >= 2^31, up to past int64
+    mutated[f] = rng() % 2 == 0
+                     ? std::to_string(2147483648ull + rng() % (1ull << 62))
+                     : "99999999999999999999";
+    expect_rejected(join(mutated), jellyfish);
+
+    mutated = fields;  // a non-digit
+    const std::string junk = "abXyz.;:/=_ \t";
+    mutated[f][pick(mutated[f].size())] = junk[pick(junk.size())];
+    expect_rejected(join(mutated), jellyfish);
+  }
+  EXPECT_GE(tokens, 10000);
 }
 
 // --- metric emission -------------------------------------------------------
@@ -287,6 +419,32 @@ TEST(DriverTest, RejectsUnknownScenarioAndBadFormat) {
   EXPECT_EQ(run_cli({"--scenario=definitely-not-registered"}), 2);
   EXPECT_EQ(run_cli({"--scenario=incast", "--format=xml"}), 2);
   EXPECT_EQ(run_cli(std::vector<std::string>{}), 2);  // missing --scenario
+}
+
+// Integer knobs outside int's range fail instead of running a wrapped value
+// (flows=4294967297 ran 1 flow, concurrent=4294967306 ran 10).
+TEST(DriverTest, RejectsIntKnobsOutsideInt) {
+  EXPECT_EQ(run_cli({"--scenario=websearch-fct", "flows=4294967297"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=mega-fct", "concurrent=4294967306"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=resource-pooling", "subflows=4294967297"}),
+            1);
+}
+
+// The fabric and fidelity facets validate every knob they declare, even on
+// the branch that does not run, and the topology token is parsed strictly.
+TEST(DriverTest, ValidatesKnobsOnTheBranchThatDoesNotRun) {
+  EXPECT_EQ(run_cli({"--scenario=incast", "incremental=maybe"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=incast", "resolve_us=-5"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=incast", "topology=2x2x1", "k_paths=0"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=incast", "topology=2x2x1", "jf_seed=x"}), 1);
+  for (const char* token :
+       {"topology=4294967298x1x2", "topology=2x+2x1", "topology=2x 2x1",
+        "topology=jellyfish:6, 3,+8", "topology=2x2x1x"}) {
+    EXPECT_EQ(run_cli({"--scenario=incast", token}), 1) << token;
+  }
+  // Jellyfish stays rejected where only leaf-spine is declared.
+  EXPECT_EQ(run_cli({"--scenario=convergence", "topology=jellyfish:6,3,8"}),
+            1);
 }
 
 // There is no sharded engine and no threaded control-plane sweep: --shards
