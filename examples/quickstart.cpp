@@ -19,7 +19,7 @@ int main() {
   // 1. The simulator clock and the NUMFabric wiring (WFQ queues + xWI
   //    link prices, Table 2 default parameters).
   sim::Simulator sim;
-  transport::Fabric fabric(sim, {});  // NUMFabric is the default scheme
+  transport::Fabric fabric(sim, {.scheme = transport::Scheme::kNumFabric});
 
   // 2. A dumbbell: 2 sender/receiver pairs around one 10 Gbps bottleneck.
   net::Topology topo(sim);

@@ -57,6 +57,21 @@ std::string millis_text(sim::TimeNs time) {
   return std::to_string(time / sim::kMillisecond);
 }
 
+/// A horizon or measurement window (`horizon_ms`, `measure_ms`): must be
+/// > 0, else the run would end before it starts.
+sim::TimeNs window_ms(const Knobs& k, const std::string& key) {
+  if (!(k.real(key) > 0)) throw std::invalid_argument(key + " must be > 0");
+  return k.ms(key);
+}
+
+/// `warmup_ms`: 0 measures from t = 0; negative is rejected.
+sim::TimeNs warmup_ms(const Knobs& k) {
+  if (!(k.real("warmup_ms") >= 0)) {
+    throw std::invalid_argument("warmup_ms must be >= 0");
+  }
+  return k.ms("warmup_ms");
+}
+
 // ---------------------------------------------------------------------------
 // Parameter presets (`preset=classic|modern`).
 //
@@ -166,8 +181,12 @@ Fabric read_fabric(const Knobs& k) {
   };
   const double host_bps = preset_knob("host_gbps", preset.host_gbps) * 1e9;
   const double spine_bps = preset_knob("spine_gbps", preset.spine_gbps) * 1e9;
-  const auto core_delay = static_cast<sim::TimeNs>(
-      preset_knob("core_delay_us", preset.delay_us) * sim::kMicrosecond);
+  const double core_delay_us = preset_knob("core_delay_us", preset.delay_us);
+  if (!(core_delay_us >= 0)) {
+    throw std::invalid_argument("core_delay_us must be >= 0");
+  }
+  const auto core_delay =
+      static_cast<sim::TimeNs>(core_delay_us * sim::kMicrosecond);
   const double oversub = given("oversub") ? k.real("oversub") : 0.0;
   if (oversub < 0) {
     throw std::invalid_argument("oversub must be >= 0 (0 = keep spine_gbps)");
@@ -500,7 +519,7 @@ void run_dynamic_deviation(RunContext& ctx, const Knobs& k) {
   options.flow_count = k.integer("flows");
   options.alpha = k.real("alpha");
   options.seed = k.seed("seed");
-  options.horizon = k.ms("horizon_ms");
+  options.horizon = window_ms(k, "horizon_ms");
   num::SolverHealth health;
   for (const transport::Scheme scheme : transports_param(ctx)) {
     options.scheme = scheme;
@@ -579,8 +598,8 @@ void run_resource_pooling(RunContext& ctx, const Knobs& k) {
   options.topology.num_spines = k.integer("spines");
   options.topology.spine_rate_bps = k.real("spine_gbps") * 1e9;
   options.subflow_counts = k.integers("subflows");
-  options.warmup = k.ms("warmup_ms");
-  options.measure = k.ms("measure_ms");
+  options.warmup = warmup_ms(k);
+  options.measure = window_ms(k, "measure_ms");
   options.seed = k.seed("seed");
 
   MetricTable& totals = ctx.metrics.table(
@@ -610,8 +629,8 @@ void run_bwfunc_sweep(RunContext& ctx, const Knobs& k) {
   options.capacities_gbps = k.reals("capacities_gbps");
   options.alpha = k.real("alpha");
   options.slowdown = k.real("slowdown");
-  options.warmup = k.ms("warmup_ms");
-  options.measure = k.ms("measure_ms");
+  options.warmup = warmup_ms(k);
+  options.measure = window_ms(k, "measure_ms");
   const exp::BwFuncSweepResult result = exp::run_bwfunc_sweep(options);
 
   MetricTable& table = ctx.metrics.table(
@@ -712,9 +731,9 @@ void run_traffic(RunContext& ctx, const Knobs& k,
   }
   options.flow_size_bytes = kb_to_bytes(k, "flow_kb");
   options.alpha = k.real("alpha");
-  options.warmup = k.ms("warmup_ms");
-  options.measure = k.ms("measure_ms");
-  options.horizon = k.ms("horizon_ms");
+  options.warmup = warmup_ms(k);
+  options.measure = window_ms(k, "measure_ms");
+  options.horizon = window_ms(k, "horizon_ms");
   options.seed = k.seed("seed");
   const Fidelity fidelity = read_fidelity(k, options.scheme);
   emit_traffic_result(
@@ -758,7 +777,7 @@ void run_fct_sweep(RunContext& ctx, const Knobs& k) {
   options.flow_count = k.integer("flows");
   options.alpha = k.real("alpha");
   options.seed = k.seed("seed");
-  options.horizon = k.ms("horizon_ms");
+  options.horizon = window_ms(k, "horizon_ms");
   num::SolverHealth health;
   for (const double load : loads_param(k)) {
     options.load = load;
@@ -807,9 +826,9 @@ void run_oversub_fabric_scenario(RunContext& ctx, const Knobs& k) {
   options.core_buffer_bytes = kb_to_bytes(k, "core_buffer_kb");
   options.alpha = k.real("alpha");
   options.shuffle_flow_bytes = kb_to_bytes(k, "shuffle_kb");
-  options.warmup = k.ms("warmup_ms");
-  options.measure = k.ms("measure_ms");
-  options.horizon = k.ms("horizon_ms");
+  options.warmup = warmup_ms(k);
+  options.measure = window_ms(k, "measure_ms");
+  options.horizon = window_ms(k, "horizon_ms");
   options.seed = k.seed("seed");
   const exp::OversubFabricResult result = exp::run_oversub_fabric(options);
 
@@ -854,8 +873,8 @@ void run_background_burst_scenario(RunContext& ctx, const Knobs& k) {
   options.burst_bytes = kb_to_bytes(k, "burst_kb");
   options.burst_interval = k.ms("burst_interval_ms");
   options.num_bursts = k.integer("bursts");
-  options.warmup = k.ms("warmup_ms");
-  options.horizon = k.ms("horizon_ms");
+  options.warmup = warmup_ms(k);
+  options.horizon = window_ms(k, "horizon_ms");
   options.seed = k.seed("seed");
   const exp::BackgroundBurstResult result = exp::run_background_burst(options);
 
@@ -943,7 +962,7 @@ void run_trace_replay_scenario(RunContext& ctx, const Knobs& k) {
   options.scheme = ctx.scheme;
   options.topology = read_fabric(k).leaf_spine;
   options.alpha = k.real("alpha");
-  options.horizon = k.ms("horizon_ms");
+  options.horizon = window_ms(k, "horizon_ms");
   const Fidelity fidelity = read_fidelity(k, options.scheme);
   const std::string path = k.text("trace");
   options.trace =
@@ -1012,6 +1031,9 @@ void run_mega_fct_scenario(RunContext& ctx, const Knobs& k) {
   options.alpha = k.real("alpha");
   options.resolve_interval_seconds = fidelity.resolve_seconds;
   options.horizon_seconds = k.real("horizon_s");
+  if (!(options.horizon_seconds > 0)) {
+    throw std::invalid_argument("horizon_s must be > 0");
+  }
   options.solver_tolerance = k.real("tolerance");
   options.solver_threads = ctx.solver_threads;
   options.incremental = fidelity.incremental;

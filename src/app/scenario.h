@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -68,9 +69,15 @@ class Knobs {
   std::uint64_t seed(const std::string& key) const {
     return static_cast<std::uint64_t>(values_.get_int(checked(key), 0));
   }
-  /// A millisecond knob as simulated time.
+  /// A millisecond knob as simulated time.  NaN, or a value beyond
+  /// sim::TimeNs (about +-106 days), throws instead of wrapping.
   sim::TimeNs ms(const std::string& key) const {
-    return static_cast<sim::TimeNs>(real(key) * 1e6);
+    const double ns = real(key) * 1e6;
+    constexpr double kLimit = 9.2e18;  // just inside int64's range
+    if (!(ns > -kLimit && ns < kLimit)) {
+      throw std::invalid_argument(key + " is outside the simulated clock");
+    }
+    return static_cast<sim::TimeNs>(ns);
   }
   std::vector<double> reals(const std::string& key) const {
     return values_.get_double_list(checked(key), {});

@@ -58,6 +58,15 @@ const std::vector<std::vector<int>>& pair_paths(BuiltFabric& fabric,
   return it->second;
 }
 
+const std::vector<int>& flow_path(BuiltFabric& fabric, const net::Host* src,
+                                  const net::Host* dst,
+                                  std::size_t flow_index) {
+  const auto& paths =
+      pair_paths(fabric, fabric.host_node.at(src), fabric.host_node.at(dst));
+  return paths[net::ecmp_index(paths.size(),
+                               static_cast<net::FlowId>(flow_index + 1))];
+}
+
 net::Path to_packet_path(const BuiltFabric& fabric,
                          const std::vector<int>& links) {
   net::Path path;
@@ -96,6 +105,13 @@ std::vector<int> LinkIndexer::path_indices(const net::Path& path) const {
   out.reserve(path.links.size());
   for (const net::Link* link : path.links) out.push_back(index(link));
   return out;
+}
+
+num::NumSolverOptions oracle_solver_options(int solver_threads) {
+  num::NumSolverOptions options;
+  options.tolerance = 1e-8;
+  options.policy = num::ExecutionPolicy::parallel(solver_threads);
+  return options;
 }
 
 num::NumProblem make_num_problem(

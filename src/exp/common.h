@@ -57,6 +57,14 @@ void materialize_fabric(BuiltFabric& fabric, net::Topology& topo,
 const std::vector<std::vector<int>>& pair_paths(BuiltFabric& fabric,
                                                 int src_node, int dst_node);
 
+/// The path flow `flow_index` (0-based, workload order) takes from `src` to
+/// `dst`: pair_paths' ECMP pick by the flow id transport::Fabric assigns it
+/// (flow_index + 1).  Every dual-fidelity runner routes through here, so
+/// flow i takes the same links at either fidelity.
+const std::vector<int>& flow_path(BuiltFabric& fabric, const net::Host* src,
+                                  const net::Host* dst,
+                                  std::size_t flow_index);
+
 /// A link-id path as the packet engine's object path.
 net::Path to_packet_path(const BuiltFabric& fabric,
                          const std::vector<int>& links);
@@ -81,6 +89,11 @@ class LinkIndexer {
   std::unordered_map<const net::Link*, int> index_;
   std::vector<double> capacities_;
 };
+
+/// Solver settings of the exact fluid system that ideal rates and flow
+/// fidelity are measured against: tolerance 1e-8, wave-parallel on
+/// `solver_threads` (bit-identical for any count).
+num::NumSolverOptions oracle_solver_options(int solver_threads);
 
 /// Builds the NUM problem for a set of active flows (shared utility objects
 /// live in the caller).

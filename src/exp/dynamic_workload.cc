@@ -3,11 +3,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "exp/common.h"
-#include "net/routing.h"
-#include "num/fluid_fct_oracle.h"
 #include "num/utility.h"
-#include "workload/scenarios.h"
 
 namespace numfabric::exp {
 
@@ -24,6 +20,26 @@ int bdp_bin(double size_bytes, double bdp_bytes) {
   return -1;
 }
 
+DynamicWorkloadPlan plan_dynamic_workload(const DynamicWorkloadOptions& options,
+                                          BuiltFabric& built,
+                                          const num::UtilityFunction* utility) {
+  sim::Rng rng(options.seed);
+  DynamicWorkloadPlan plan;
+  plan.arrivals =
+      workload::poisson_flows(built.mat.hosts, built.host_rate_bps,
+                              options.load, *options.sizes, options.flow_count,
+                              rng);
+  plan.flows.reserve(plan.arrivals.size());
+  for (std::size_t i = 0; i < plan.arrivals.size(); ++i) {
+    const workload::ArrivedFlow& arrival = plan.arrivals[i];
+    plan.flows.push_back(
+        {sim::to_seconds(arrival.arrival),
+         static_cast<double>(arrival.size_bytes),
+         flow_path(built, arrival.pair.src, arrival.pair.dst, i), utility});
+  }
+  return plan;
+}
+
 DynamicWorkloadResult run_dynamic_workload(const DynamicWorkloadOptions& options) {
   sim::Simulator sim;
   transport::FabricOptions fabric_options = options.fabric;
@@ -36,58 +52,38 @@ DynamicWorkloadResult run_dynamic_workload(const DynamicWorkloadOptions& options
   fabric.attach_agents(topo);
   const LinkIndexer indexer(topo);
 
-  sim::Rng rng(options.seed);
-  const auto arrivals =
-      workload::poisson_flows(built.mat.hosts, built.host_rate_bps,
-                              options.load, *options.sizes, options.flow_count, rng);
-
   const num::AlphaFairUtility utility(options.alpha);
+  const DynamicWorkloadPlan plan =
+      plan_dynamic_workload(options, built, &utility);
 
-  // Launch the packet-level flows and, in parallel, assemble the fluid
-  // oracle's input (same arrivals, same paths).
-  std::vector<num::FluidFlow> fluid_flows;
-  fluid_flows.reserve(arrivals.size());
+  // Launch the packet-level flows; plan.flows is the fluid oracle's input.
   std::vector<const transport::Flow*> flows;
-  flows.reserve(arrivals.size());
+  flows.reserve(plan.arrivals.size());
   int completed = 0;
   fabric.set_on_complete([&completed](transport::Flow&) { ++completed; });
 
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const auto& arrival = arrivals[i];
+  for (std::size_t i = 0; i < plan.arrivals.size(); ++i) {
+    const workload::ArrivedFlow& arrival = plan.arrivals[i];
     transport::FlowSpec spec;
     spec.src = arrival.pair.src;
     spec.dst = arrival.pair.dst;
     spec.size_bytes = arrival.size_bytes;
     spec.start_time = arrival.arrival;
     spec.utility = &utility;
-    const auto& paths = pair_paths(built, built.host_node.at(arrival.pair.src),
-                                   built.host_node.at(arrival.pair.dst));
-    const auto& picked =
-        paths[net::ecmp_index(paths.size(), static_cast<net::FlowId>(i + 1))];
-    spec.path = to_packet_path(built, picked);
-
-    num::FluidFlow fluid;
-    fluid.arrival_seconds = sim::to_seconds(arrival.arrival);
-    fluid.size_bytes = static_cast<double>(arrival.size_bytes);
-    fluid.links = picked;  // graph link ids == LinkIndexer indices
-    fluid.utility = &utility;
-    fluid_flows.push_back(std::move(fluid));
-
+    spec.path = to_packet_path(built, plan.flows[i].links);
     flows.push_back(fabric.add_flow(std::move(spec)));
   }
 
   // Run until everything finishes (or the horizon hits).
-  while (completed < static_cast<int>(arrivals.size()) &&
+  while (completed < static_cast<int>(flows.size()) &&
          sim.now() < options.horizon && sim.pending()) {
     sim.run_until(std::min(sim.now() + sim::millis(5), options.horizon));
   }
 
-  // Fluid oracle: ideal FCT per flow.
-  num::NumSolverOptions solver_options;
-  solver_options.tolerance = 1e-8;
-  solver_options.policy = num::ExecutionPolicy::parallel(options.solver_threads);
+  // Fluid oracle: ideal FCT per flow (graph link ids == LinkIndexer indices).
   const num::FluidFctResult oracle =
-      num::fluid_fct_oracle(fluid_flows, indexer.capacities(), solver_options);
+      num::fluid_fct_oracle(plan.flows, indexer.capacities(),
+                            oracle_solver_options(options.solver_threads));
 
   DynamicWorkloadResult result;
   result.bdp_bytes =

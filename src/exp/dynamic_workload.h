@@ -10,9 +10,12 @@
 #include <optional>
 #include <vector>
 
+#include "exp/common.h"
 #include "net/topology.h"
+#include "num/fluid_fct_oracle.h"
 #include "num/num_solver.h"
 #include "transport/fabric.h"
+#include "workload/scenarios.h"
 #include "workload/size_distribution.h"
 
 namespace numfabric::exp {
@@ -57,6 +60,18 @@ struct DynamicWorkloadResult {
 };
 
 DynamicWorkloadResult run_dynamic_workload(const DynamicWorkloadOptions& options);
+
+/// The workload both fidelities run: options' seeded Poisson draw on the
+/// planned, materialized fabric.  Flow i is the same flow on the same links
+/// (exp::flow_path) at either fidelity.
+struct DynamicWorkloadPlan {
+  std::vector<workload::ArrivedFlow> arrivals;  // draw order
+  /// arrivals[i] as the fluid system sees it, sharing `utility`.
+  std::vector<num::FluidFlow> flows;
+};
+DynamicWorkloadPlan plan_dynamic_workload(const DynamicWorkloadOptions& options,
+                                          BuiltFabric& built,
+                                          const num::UtilityFunction* utility);
 
 /// Fig. 5's bins, in BDP multiples: (0-5], (5-10], (10-100], (100-1K],
 /// (1K-10K].  Returns the bin index for a flow size, or -1 if beyond.

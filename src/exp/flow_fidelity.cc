@@ -1,12 +1,10 @@
 #include "exp/flow_fidelity.h"
 
-#include <algorithm>
+#include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "exp/common.h"
-#include "net/routing.h"
 #include "num/fluid_fct_oracle.h"
 #include "num/utility.h"
 #include "sim/random.h"
@@ -17,35 +15,25 @@ namespace {
 
 flowsim::FlowSimOptions engine_options(double resolve_interval_seconds,
                                        double horizon_seconds,
-                                       int solver_threads, bool incremental,
-                                       double tolerance = 1e-8) {
+                                       int solver_threads, bool incremental) {
   flowsim::FlowSimOptions fs;
   fs.resolve_interval_seconds = resolve_interval_seconds;
   fs.horizon_seconds = horizon_seconds;
-  // Default matches the packet experiments' fluid oracle; mega-fct loosens it.
-  fs.solver.tolerance = tolerance;
-  fs.solver.policy = num::ExecutionPolicy::parallel(solver_threads);
+  fs.solver = oracle_solver_options(solver_threads);
   fs.solver.incremental = incremental;
   return fs;
 }
 
-/// Exact-system FCTs for the ideal-rate denominator.  When the engine ran
-/// exact its own FCTs *are* the exact system; a grid run pays one extra
-/// oracle pass (cheap at the scales that cross-validate against packets),
-/// whose solves are folded into `health`.
-std::vector<double> exact_fcts(const flowsim::FlowSimResult& run,
-                               double resolve_interval_seconds,
-                               const std::vector<num::FluidFlow>& fluid_flows,
-                               const std::vector<double>& capacities,
-                               int solver_threads, num::SolverHealth& health) {
-  if (resolve_interval_seconds <= 0) return run.fct_seconds;
-  num::NumSolverOptions solver_options;
-  solver_options.tolerance = 1e-8;
-  solver_options.policy = num::ExecutionPolicy::parallel(solver_threads);
-  num::FluidFctResult oracle =
-      num::fluid_fct_oracle(fluid_flows, capacities, solver_options);
-  health.merge(oracle.solver_health);
-  return std::move(oracle.fct_seconds);
+/// Exact-system FCTs for the ideal-rate denominator, or nothing when the
+/// engine runs exact: its own FCTs are then the exact system.  A grid run
+/// pays one oracle pass over the same flows (cheap at the scales that
+/// cross-validate against packets).
+std::optional<num::FluidFctResult> exact_fcts(
+    double resolve_interval_seconds, const std::vector<num::FluidFlow>& flows,
+    const std::vector<double>& capacities, int solver_threads) {
+  if (resolve_interval_seconds <= 0) return std::nullopt;
+  return num::fluid_fct_oracle(flows, capacities,
+                               oracle_solver_options(solver_threads));
 }
 
 }  // namespace
@@ -60,64 +48,34 @@ DynamicWorkloadResult run_dynamic_workload_flow(
   materialize_fabric(built, topo, net::drop_tail_factory());
   const std::vector<double> capacities = graph_capacities(built.graph);
 
-  // Identical draw sequence to run_dynamic_workload: same seed, same
-  // poisson_flows call, same per-flow ECMP pick — flow i is the same flow on
-  // the same path at either fidelity.
-  sim::Rng rng(options.seed);
-  const auto arrivals =
-      workload::poisson_flows(built.mat.hosts, built.host_rate_bps,
-                              options.load, *options.sizes, options.flow_count,
-                              rng);
-
   const num::AlphaFairUtility utility(options.alpha);
-  std::vector<flowsim::FlowSimFlow> engine_flows;
-  engine_flows.reserve(arrivals.size());
-  std::vector<num::FluidFlow> fluid_flows;
-  fluid_flows.reserve(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const auto& arrival = arrivals[i];
-    const auto& paths =
-        pair_paths(built, built.host_node.at(arrival.pair.src),
-                   built.host_node.at(arrival.pair.dst));
+  DynamicWorkloadPlan plan = plan_dynamic_workload(options, built, &utility);
 
-    flowsim::FlowSimFlow flow;
-    flow.arrival_seconds = sim::to_seconds(arrival.arrival);
-    flow.size_bytes = static_cast<double>(arrival.size_bytes);
-    flow.links = paths[net::ecmp_index(paths.size(),
-                                       static_cast<net::FlowId>(i + 1))];
-    flow.utility = &utility;
-
-    num::FluidFlow fluid;
-    fluid.arrival_seconds = flow.arrival_seconds;
-    fluid.size_bytes = flow.size_bytes;
-    fluid.links = flow.links;
-    fluid.utility = &utility;
-    fluid_flows.push_back(std::move(fluid));
-    engine_flows.push_back(std::move(flow));
-  }
-
+  const std::optional<num::FluidFctResult> exact =
+      exact_fcts(resolve_interval_seconds, plan.flows, capacities,
+                 options.solver_threads);
   const flowsim::FlowSimResult run = flowsim::run_flow_sim(
-      std::move(engine_flows), capacities,
+      std::move(plan.flows), capacities,
       engine_options(resolve_interval_seconds, sim::to_seconds(options.horizon),
                      options.solver_threads, incremental));
   DynamicWorkloadResult result;
   result.solver_health = run.solver_health;
-  const std::vector<double> ideal =
-      exact_fcts(run, resolve_interval_seconds, fluid_flows, capacities,
-                 options.solver_threads, result.solver_health);
+  if (exact) result.solver_health.merge(exact->solver_health);
+  const std::vector<double>& ideal =
+      exact ? exact->fct_seconds : run.fct_seconds;
   result.bdp_bytes =
       built.host_rate_bps * sim::to_seconds(built.base_rtt) / 8.0;
   result.sim_events = 0;
   // Same base-RTT charge as the packet runner applies to its oracle rates —
   // here both the measured and the ideal side are fluid, so both get it.
   const double latency = sim::to_seconds(built.base_rtt);
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+  for (std::size_t i = 0; i < plan.arrivals.size(); ++i) {
     if (run.fct_seconds[i] < 0) {
       ++result.incomplete;
       continue;
     }
     DynamicWorkloadResult::PerFlow row;
-    row.size_bytes = arrivals[i].size_bytes;
+    row.size_bytes = plan.arrivals[i].size_bytes;
     row.fct_seconds = run.fct_seconds[i] + latency;
     row.rate_bps = static_cast<double>(row.size_bytes) * 8.0 / row.fct_seconds;
     row.ideal_rate_bps =
@@ -137,31 +95,15 @@ TrafficResult run_traffic_experiment_flow(const TrafficOptions& options,
       plan_fabric(options.topology, options.jellyfish, options.k_paths);
   materialize_fabric(built, topo, net::drop_tail_factory());
   const std::vector<double> capacities = graph_capacities(built.graph);
-  const std::vector<net::Host*>& hosts = built.mat.hosts;
-
-  sim::Rng rng(options.seed);
-  std::vector<workload::HostPair> pairs;
-  switch (options.pattern) {
-    case TrafficPattern::kIncast:
-      pairs = workload::incast_pairs(hosts, options.incast_fanin, rng);
-      break;
-    case TrafficPattern::kPermutation:
-      pairs = workload::permutation_pairs(hosts, rng);
-      break;
-    case TrafficPattern::kAllToAll:
-      pairs = workload::all_to_all_pairs(hosts);
-      break;
-  }
+  const TrafficPlan plan = plan_traffic(options, built);
+  const std::vector<workload::HostPair>& pairs = plan.pairs;
 
   const bool rate_mode = options.flow_size_bytes == 0;
   const num::AlphaFairUtility utility(options.alpha);
   std::vector<std::vector<int>> flow_links;
   flow_links.reserve(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto& paths = pair_paths(built, built.host_node.at(pairs[i].src),
-                                   built.host_node.at(pairs[i].dst));
-    flow_links.push_back(
-        paths[net::ecmp_index(paths.size(), static_cast<net::FlowId>(i + 1))]);
+    flow_links.push_back(flow_path(built, pairs[i].src, pairs[i].dst, i));
   }
 
   TrafficResult result;
@@ -175,10 +117,8 @@ TrafficResult run_traffic_experiment_flow(const TrafficOptions& options,
     problem.flow_links = std::move(flow_links);
     num::CsrProblem csr = num::CsrProblem::compile(std::move(problem));
     num::NumWorkspace workspace;
-    num::NumSolverOptions solver_options;
-    solver_options.tolerance = 1e-8;
-    solver_options.policy = num::ExecutionPolicy::parallel(solver_threads);
-    result.solver_health.add(num::solve(csr, workspace, solver_options));
+    result.solver_health.add(
+        num::solve(csr, workspace, oracle_solver_options(solver_threads)));
     for (const double rate : workspace.rates()) {
       const double rate_bps = rate * num::kRateUnitBps;
       result.flow_rates_bps.push_back(rate_bps);
@@ -188,13 +128,9 @@ TrafficResult run_traffic_experiment_flow(const TrafficOptions& options,
   } else {
     std::vector<flowsim::FlowSimFlow> engine_flows;
     engine_flows.reserve(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      flowsim::FlowSimFlow flow;
-      flow.arrival_seconds = 0.0;
-      flow.size_bytes = static_cast<double>(options.flow_size_bytes);
-      flow.links = std::move(flow_links[i]);
-      flow.utility = &utility;
-      engine_flows.push_back(std::move(flow));
+    for (std::vector<int>& links : flow_links) {
+      engine_flows.push_back({0.0, static_cast<double>(options.flow_size_bytes),
+                              std::move(links), &utility});
     }
     const flowsim::FlowSimResult run = flowsim::run_flow_sim(
         std::move(engine_flows), capacities,
@@ -213,18 +149,7 @@ TrafficResult run_traffic_experiment_flow(const TrafficOptions& options,
     }
   }
 
-  const double nic = built.host_rate_bps;
-  switch (options.pattern) {
-    case TrafficPattern::kIncast:
-      result.optimal_bps = nic;
-      break;
-    case TrafficPattern::kPermutation:
-      result.optimal_bps = nic * static_cast<double>(pairs.size());
-      break;
-    case TrafficPattern::kAllToAll:
-      result.optimal_bps = nic * static_cast<double>(hosts.size());
-      break;
-  }
+  result.optimal_bps = plan.optimal_bps;
   return result;
 }
 
@@ -238,64 +163,23 @@ TraceReplayResult run_trace_replay_flow(const TraceReplayOptions& options,
   materialize_fabric(built, topo, net::drop_tail_factory());
   const std::vector<double> capacities = graph_capacities(built.graph);
 
-  const int host_count = static_cast<int>(built.mat.hosts.size());
-  for (std::size_t i = 0; i < options.trace.size(); ++i) {
-    const workload::TraceFlow& flow = options.trace[i];
-    if (flow.src >= host_count || flow.dst >= host_count) {
-      throw std::invalid_argument(
-          "trace flow " + std::to_string(i) + ": host " +
-          std::to_string(std::max(flow.src, flow.dst)) +
-          " is outside the topology (" + std::to_string(host_count) +
-          " hosts)");
-    }
-  }
-
   const num::AlphaFairUtility utility(options.alpha);
-  std::vector<flowsim::FlowSimFlow> engine_flows;
-  engine_flows.reserve(options.trace.size());
-  for (std::size_t i = 0; i < options.trace.size(); ++i) {
-    const workload::TraceFlow& entry = options.trace[i];
-    net::Host* src = built.mat.hosts[static_cast<std::size_t>(entry.src)];
-    net::Host* dst = built.mat.hosts[static_cast<std::size_t>(entry.dst)];
-    const auto& paths =
-        pair_paths(built, built.host_node.at(src), built.host_node.at(dst));
+  std::vector<flowsim::FlowSimFlow> engine_flows =
+      plan_trace_replay(options, built, &utility);
 
-    flowsim::FlowSimFlow flow;
-    // Round through TimeNs exactly like the packet runner's start_time so
-    // both fidelities place the flow at the same instant.
-    flow.arrival_seconds = sim::to_seconds(static_cast<sim::TimeNs>(
-        entry.arrival_seconds * sim::kSecond + 0.5));
-    flow.size_bytes = static_cast<double>(entry.size_bytes);
-    flow.links =
-        paths[net::ecmp_index(paths.size(), static_cast<net::FlowId>(i + 1))];
-    flow.utility = &utility;
-    engine_flows.push_back(std::move(flow));
-  }
-
-  const flowsim::FlowSimResult run = flowsim::run_flow_sim(
+  flowsim::FlowSimResult run = flowsim::run_flow_sim(
       std::move(engine_flows), capacities,
       engine_options(resolve_interval_seconds, sim::to_seconds(options.horizon),
                      solver_threads, incremental));
 
-  TraceReplayResult result;
-  result.sim_events = 0;
-  result.solver_health = run.solver_health;
+  // Fluid FCTs carry the one-RTT latency charge.
   const double latency = sim::to_seconds(built.base_rtt);
-  for (std::size_t i = 0; i < options.trace.size(); ++i) {
-    TraceReplayResult::PerFlow row;
-    row.src = options.trace[i].src;
-    row.dst = options.trace[i].dst;
-    row.size_bytes = options.trace[i].size_bytes;
-    row.arrival_seconds = options.trace[i].arrival_seconds;
-    row.completed = run.fct_seconds[i] >= 0;
-    if (row.completed) {
-      row.fct_seconds = run.fct_seconds[i] + latency;
-      ++result.completed;
-    } else {
-      ++result.incomplete;
-    }
-    result.flows.push_back(row);
+  for (double& fct : run.fct_seconds) {
+    if (fct >= 0) fct += latency;
   }
+  TraceReplayResult result =
+      trace_replay_result(options.trace, run.fct_seconds);
+  result.solver_health = run.solver_health;
   return result;
 }
 
@@ -342,12 +226,15 @@ MegaFctResult run_mega_fct(const MegaFctOptions& options) {
     result.size_bytes.push_back(batch[i].size_bytes);
   }
 
+  // Looser than the exact system's tolerance: see MegaFctOptions.
+  flowsim::FlowSimOptions mega_options = engine_options(
+      options.resolve_interval_seconds, options.horizon_seconds,
+      options.solver_threads, options.incremental);
+  mega_options.solver.tolerance = options.solver_tolerance;
   result.sim = flowsim::run_flow_sim(
       std::move(engine_flows),
       graph_fabric ? graph_fabric->capacities() : options.fabric.capacities(),
-      engine_options(options.resolve_interval_seconds, options.horizon_seconds,
-                     options.solver_threads, options.incremental,
-                     options.solver_tolerance));
+      mega_options);
   return result;
 }
 

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "exp/common.h"
 #include "net/topology.h"
+#include "num/fluid_fct_oracle.h"
 #include "num/num_solver.h"
 #include "transport/fabric.h"
 #include "workload/trace.h"
@@ -48,5 +50,25 @@ struct TraceReplayResult {
 };
 
 TraceReplayResult run_trace_replay(const TraceReplayOptions& options);
+
+// The flow plan both fidelities share (run_trace_replay_flow is the
+// flow-fidelity twin in exp/flow_fidelity.h).
+
+/// The trace as the fluid system sees it, on the planned, materialized
+/// fabric: flow i starts at trace_start_time, takes its exp::flow_path and
+/// shares `utility`.  Throws std::invalid_argument naming the first flow
+/// whose src or dst is not a host of the fabric.
+std::vector<num::FluidFlow> plan_trace_replay(
+    const TraceReplayOptions& options, BuiltFabric& built,
+    const num::UtilityFunction* utility);
+
+/// A trace flow's start on the simulator clock, rounded to the nearest ns.
+sim::TimeNs trace_start_time(const workload::TraceFlow& flow);
+
+/// Rows in trace order from per-flow FCTs in seconds (negative =
+/// incomplete), with the completed/incomplete counts.
+TraceReplayResult trace_replay_result(
+    const std::vector<workload::TraceFlow>& trace,
+    const std::vector<double>& fct_seconds);
 
 }  // namespace numfabric::exp

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "exp/common.h"
-#include "net/routing.h"
 #include "num/utility.h"
 #include "sim/random.h"
 #include "transport/receiver.h"
-#include "workload/scenarios.h"
 
 namespace numfabric::exp {
 
@@ -29,6 +26,29 @@ TrafficPattern parse_traffic_pattern(const std::string& name) {
                               "' (expected incast, permutation or all-to-all)");
 }
 
+TrafficPlan plan_traffic(const TrafficOptions& options,
+                         const BuiltFabric& built) {
+  const std::vector<net::Host*>& hosts = built.mat.hosts;
+  sim::Rng rng(options.seed);
+  TrafficPlan plan;
+  const double nic = built.host_rate_bps;
+  switch (options.pattern) {
+    case TrafficPattern::kIncast:
+      plan.pairs = workload::incast_pairs(hosts, options.incast_fanin, rng);
+      plan.optimal_bps = nic;
+      break;
+    case TrafficPattern::kPermutation:
+      plan.pairs = workload::permutation_pairs(hosts, rng);
+      plan.optimal_bps = nic * static_cast<double>(plan.pairs.size());
+      break;
+    case TrafficPattern::kAllToAll:
+      plan.pairs = workload::all_to_all_pairs(hosts);
+      plan.optimal_bps = nic * static_cast<double>(hosts.size());
+      break;
+  }
+  return plan;
+}
+
 TrafficResult run_traffic_experiment(const TrafficOptions& options) {
   BuiltFabric built = plan_fabric(options.topology, options.jellyfish,
                                   options.k_paths);
@@ -43,20 +63,8 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
                      fabric.queue_factory(options.core_buffer_bytes));
   fabric.attach_agents(topo);
 
-  const std::vector<net::Host*>& hosts = built.mat.hosts;
-  sim::Rng rng(options.seed);
-  std::vector<workload::HostPair> pairs;
-  switch (options.pattern) {
-    case TrafficPattern::kIncast:
-      pairs = workload::incast_pairs(hosts, options.incast_fanin, rng);
-      break;
-    case TrafficPattern::kPermutation:
-      pairs = workload::permutation_pairs(hosts, rng);
-      break;
-    case TrafficPattern::kAllToAll:
-      pairs = workload::all_to_all_pairs(hosts);
-      break;
-  }
+  const TrafficPlan plan = plan_traffic(options, built);
+  const std::vector<workload::HostPair>& pairs = plan.pairs;
 
   const bool rate_mode = options.flow_size_bytes == 0;
   const num::AlphaFairUtility utility(options.alpha);
@@ -72,11 +80,8 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
     spec.size_bytes = options.flow_size_bytes;
     spec.start_time = 0;
     spec.utility = &utility;
-    const auto& paths = pair_paths(built, built.host_node.at(pairs[i].src),
-                                   built.host_node.at(pairs[i].dst));
-    spec.path = to_packet_path(
-        built, paths[net::ecmp_index(paths.size(),
-                                     static_cast<net::FlowId>(i + 1))]);
+    spec.path =
+        to_packet_path(built, flow_path(built, pairs[i].src, pairs[i].dst, i));
     flows.push_back(fabric.add_flow(std::move(spec)));
   }
 
@@ -114,19 +119,7 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
     }
   }
 
-  const double nic = built.host_rate_bps;
-  switch (options.pattern) {
-    case TrafficPattern::kIncast:
-      result.optimal_bps = nic;
-      break;
-    case TrafficPattern::kPermutation:
-      result.optimal_bps = nic * static_cast<double>(pairs.size());
-      break;
-    case TrafficPattern::kAllToAll:
-      result.optimal_bps = nic * static_cast<double>(hosts.size());
-      break;
-  }
-
+  result.optimal_bps = plan.optimal_bps;
   result.sim_events = sim.events_executed();
   for (const auto& link : topo.links()) {
     result.queue_drops += link->queue().drops();

@@ -21,9 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "exp/common.h"
 #include "net/topology.h"
 #include "num/num_solver.h"
 #include "transport/fabric.h"
+#include "workload/scenarios.h"
 
 namespace numfabric::exp {
 
@@ -90,5 +92,15 @@ struct TrafficResult {
 };
 
 TrafficResult run_traffic_experiment(const TrafficOptions& options);
+
+/// The flows both fidelities run on the planned, materialized fabric: the
+/// pattern's host pairs drawn from options.seed (flow i = pairs[i], on its
+/// exp::flow_path) and the pattern's optimal aggregate goodput.
+struct TrafficPlan {
+  std::vector<workload::HostPair> pairs;
+  double optimal_bps = 0;  // see TrafficResult::optimal_bps
+};
+TrafficPlan plan_traffic(const TrafficOptions& options,
+                         const BuiltFabric& built);
 
 }  // namespace numfabric::exp

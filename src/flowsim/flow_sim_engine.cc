@@ -132,8 +132,8 @@ void FlowSimEngine::finish() {
   result_.end_seconds = now_;
 }
 
-// Exact mode: the event-driven fluid system of num::fluid_fct_oracle —
-// identical arithmetic, so completion times match it bit-for-bit.
+// Exact mode: the event-driven fluid system, re-solved at every arrival and
+// departure.
 bool FlowSimEngine::step_exact() {
   admit_due_arrivals();
   resolve();
@@ -246,3 +246,29 @@ FlowSimResult run_flow_sim(std::vector<FlowSimFlow> flows,
 }
 
 }  // namespace numfabric::flowsim
+
+namespace numfabric::num {
+
+// The oracle is exact mode with an infinite horizon.  It steps the engine
+// rather than calling run(), so the golden-hashed flowsim_* perf counters
+// count a run's own flow engine, never the oracle that packet and grid-mode
+// runs consult for ideal rates.
+FluidFctResult fluid_fct_oracle(const std::vector<FluidFlow>& flows,
+                                const std::vector<double>& capacities,
+                                const NumSolverOptions& solver_options) {
+  flowsim::FlowSimOptions options;
+  options.solver = solver_options;
+  flowsim::FlowSimEngine engine(flows, capacities, std::move(options));
+  while (engine.step()) {
+  }
+  const flowsim::FlowSimResult& run = engine.result();
+  FluidFctResult result;
+  result.fct_seconds = run.fct_seconds;
+  result.ideal_rate = run.ideal_rate;
+  result.solves = static_cast<int>(run.resolves);
+  result.sweeps = run.solver_sweeps;
+  result.solver_health = run.solver_health;
+  return result;
+}
+
+}  // namespace numfabric::num

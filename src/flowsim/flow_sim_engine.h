@@ -14,9 +14,9 @@
 //
 // Two resolve disciplines (FlowSimOptions::resolve_interval_seconds):
 //  * 0 (exact): re-solve at every arrival and departure.  This is the
-//    event-driven fluid system of num::fluid_fct_oracle and reproduces its
-//    completion times bit-for-bit (locked by a test).  Cost: one warm solve
-//    per flow event — fine up to ~10^4 flows.
+//    paper's event-driven fluid system; num::fluid_fct_oracle is this mode
+//    run to completion (frozen completion-time bits lock it).  Cost: one
+//    warm solve per flow event — fine up to ~10^4 flows.
 //  * T > 0 (epoch grid): re-solve on a fixed grid of period T.  Between grid
 //    points rates are frozen, so each flow's departure time is just
 //    remaining / rate — departures are processed analytically without a
@@ -34,17 +34,14 @@
 #include <limits>
 #include <vector>
 
+#include "num/fluid_fct_oracle.h"
 #include "num/num_solver.h"
-#include "num/utility.h"
 
 namespace numfabric::flowsim {
 
-struct FlowSimFlow {
-  double arrival_seconds = 0.0;
-  double size_bytes = 0.0;
-  std::vector<int> links;                    // path (link indices)
-  const num::UtilityFunction* utility = nullptr;  // non-owning
-};
+/// One flow: arrival time, size, path (link indices) and a non-owning
+/// utility — the fluid oracle's flow type.
+using FlowSimFlow = num::FluidFlow;
 
 struct FlowSimOptions {
   /// 0 = exact event-driven mode; > 0 = epoch-grid period in seconds.
@@ -89,7 +86,7 @@ struct FlowSimResult {
 class FlowSimEngine {
  public:
   /// Validates flows (positive size, non-empty path, non-null utility —
-  /// throws std::invalid_argument like the fluid oracle) and compiles the
+  /// throws std::invalid_argument otherwise) and compiles the
   /// CSR problem.  `capacities` are in rate units (Mbps).  Only the arrival
   /// times and sizes outlive construction: the paths move into the compiled
   /// problem and the flow vector is released before it is built.
@@ -136,7 +133,7 @@ class FlowSimEngine {
   FlowSimResult result_;
 };
 
-/// Convenience wrapper mirroring num::fluid_fct_oracle's shape.
+/// Builds an engine and run()s it.
 FlowSimResult run_flow_sim(std::vector<FlowSimFlow> flows,
                            std::vector<double> capacities,
                            const FlowSimOptions& options = {});

@@ -7,6 +7,10 @@
 // next event.  The resulting completion times define idealRate = size / FCT,
 // the denominator of Fig. 5's normalized rate deviation, and the ideal FCTs
 // for Fig. 7.
+//
+// The oracle *is* flowsim::FlowSimEngine's exact mode run to completion:
+// fluid_fct_oracle is defined beside the engine (flowsim/flow_sim_engine.cc),
+// and FluidFlow is the engine's flow type (flowsim::FlowSimFlow).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +46,10 @@ struct FluidFctResult {
 };
 
 /// Simulates the fluid system.  `capacities` are in rate units (Mbps).
-/// Complexity: O(events * solver); intended for oracle use, not scale.
+/// Throws std::invalid_argument on a flow with size <= 0, an empty path or a
+/// null utility.  Complexity: O(events * solver): one warm re-solve per
+/// arrival and departure.  Leaves the flowsim_* substrate counters alone: a
+/// packet run that consults the oracle still reports no flow-engine work.
 FluidFctResult fluid_fct_oracle(const std::vector<FluidFlow>& flows,
                                 const std::vector<double>& capacities,
                                 const NumSolverOptions& solver_options = {});

@@ -32,7 +32,10 @@ namespace numfabric::num {
 
 struct NumSolverOptions {
   int max_sweeps = 2000;
-  /// Relative feasibility / slackness tolerance.
+  /// Stop rule: the solve converges once the largest *absolute* link-price
+  /// change in a sweep is below this.  It bounds neither relative overload
+  /// nor slackness — a link with a small price can stop while overloaded
+  /// (ROADMAP direction 2 makes it a feasibility bound).
   double tolerance = 1e-9;
   /// Warm-start prices.  Non-empty overrides the workspace's warm state;
   /// empty defers to the workspace (warm after a previous solve, else cold

@@ -36,11 +36,13 @@ namespace numfabric::transport {
 
 struct FabricOptions {
   Scheme scheme = Scheme::kNumFabric;
-  NumFabricConfig numfabric;
-  DgdConfig dgd;
-  RcpConfig rcp;
-  DctcpConfig dctcp;
-  PFabricConfig pfabric;
+  // Braced so designated initializers ({.scheme = ...}) may omit them under
+  // -Wmissing-field-initializers.
+  NumFabricConfig numfabric{};
+  DgdConfig dgd{};
+  RcpConfig rcp{};
+  DctcpConfig dctcp{};
+  PFabricConfig pfabric{};
   /// Per-port buffering (§6: 1 MB to keep drops out of the comparison).
   /// pFabric ignores this and uses its own shallow queues.
   std::size_t queue_capacity_bytes = 1'000'000;

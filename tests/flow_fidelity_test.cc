@@ -1,6 +1,6 @@
 // Flow-fluid engine cross-validation.
 //
-//  * exact mode reproduces num::fluid_fct_oracle bit-for-bit;
+//  * exact mode (num::fluid_fct_oracle) matches frozen completion-time bits;
 //  * grid mode upper-bounds exact FCTs and converges as the period shrinks;
 //  * flow-vs-packet FCT comparison on a dumbbell and a small leaf-spine
 //    (tolerance bands documented inline — the fluid model omits queueing
@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "net/topology.h"
 #include "num/fluid_fct_oracle.h"
 #include "num/utility.h"
+#include "sim/substrate_stats.h"
 #include "transport/fabric.h"
 
 namespace numfabric {
@@ -48,37 +51,94 @@ std::vector<FlowSimFlow> staggered_flows(const num::UtilityFunction* u) {
   return flows;
 }
 
-std::vector<num::FluidFlow> as_fluid(const std::vector<FlowSimFlow>& flows) {
-  std::vector<num::FluidFlow> fluid(flows.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    fluid[i] = {flows[i].arrival_seconds, flows[i].size_bytes, flows[i].links,
-                flows[i].utility};
-  }
-  return fluid;
-}
-
 double mean(const std::vector<double>& values) {
   return std::accumulate(values.begin(), values.end(), 0.0) /
          static_cast<double>(values.size());
 }
 
-TEST(FlowSimEngineTest, ExactModeMatchesFluidOracleBitForBit) {
+// ---------------------------------------------------------------------------
+// The exact fluid system, frozen.  num::fluid_fct_oracle runs FlowSimEngine's
+// exact mode; these FNV-1a 64 hashes of its fct_seconds and ideal_rate bytes,
+// with its solve and sweep counts, were recorded from the standalone oracle
+// event loop that mode replaced.  Any change that moves one bit of one
+// completion time changes a constant below.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(const std::vector<double>& values) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const double v : values) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof(double));
+    for (const unsigned char b : bytes) {
+      hash ^= b;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+struct FrozenOracle {
+  std::uint64_t fct_hash;
+  std::uint64_t rate_hash;
+  int solves;
+  std::int64_t sweeps;
+};
+
+void expect_frozen(const std::vector<FlowSimFlow>& flows,
+                   const std::vector<double>& capacities,
+                   const FrozenOracle& frozen) {
+  const num::FluidFctResult oracle = num::fluid_fct_oracle(flows, capacities);
+  EXPECT_EQ(fnv1a(oracle.fct_seconds), frozen.fct_hash);
+  EXPECT_EQ(fnv1a(oracle.ideal_rate), frozen.rate_hash);
+  EXPECT_EQ(oracle.solves, frozen.solves);
+  EXPECT_EQ(oracle.sweeps, frozen.sweeps);
+  EXPECT_EQ(oracle.solver_health.unconverged_solves, 0);
+}
+
+TEST(FlowSimEngineTest, ExactModeMatchesFrozenStaggered) {
   num::AlphaFairUtility u(1.0);
-  const auto flows = staggered_flows(&u);
+  expect_frozen(staggered_flows(&u), {9'000.0, 9'000.0},
+                {0x796ef6a3b894d644ull, 0x0b99608120ac597cull, 10, 49});
+}
+
+// Three groups of simultaneous arrivals, listed out of arrival order: the
+// engine admits each group in one epoch, in flow-id order.
+TEST(FlowSimEngineTest, ExactModeMatchesFrozenSimultaneousArrivals) {
+  num::AlphaFairUtility u(1.0);
+  const std::vector<FlowSimFlow> flows = {
+      {1.0e-3, 3e6, {0, 1}, &u}, {0.0, 2e6, {1}, &u},
+      {1.0e-3, 1e6, {0}, &u},    {0.0, 4e6, {0, 1}, &u},
+      {0.4e-3, 2e6, {0}, &u},    {1.0e-3, 2e6, {1, 2}, &u},
+      {0.0, 1e6, {2}, &u}};
+  expect_frozen(flows, {9'000.0, 9'000.0, 4'000.0},
+                {0x4f633b908646507eull, 0x6c05bd2e19678757ull, 9, 72});
+}
+
+TEST(FlowSimEngineTest, ExactModeMatchesFrozenAlphaTwo) {
+  num::AlphaFairUtility u(2.0);
+  expect_frozen(staggered_flows(&u), {9'000.0, 4'000.0},
+                {0x3c5649685dfcc47aull, 0xa84b0f346805df3aull, 10, 28});
+}
+
+// The oracle steps the engine without run(), so the perf table's flowsim
+// counters (golden-hashed for packet scenarios) stay those of the packet run.
+TEST(FlowSimEngineTest, FluidOracleLeavesFlowSimCountersUnchanged) {
+  num::AlphaFairUtility u(1.0);
   const std::vector<double> capacities = {9'000.0, 9'000.0};
-
+  const sim::SubstrateStats before = sim::substrate_stats();
   const num::FluidFctResult oracle =
-      num::fluid_fct_oracle(as_fluid(flows), capacities);
-  const FlowSimResult engine = flowsim::run_flow_sim(flows, capacities, {});
+      num::fluid_fct_oracle(staggered_flows(&u), capacities);
+  ASSERT_GT(oracle.solves, 0);
+  const sim::SubstrateStats after = sim::substrate_stats();
+  EXPECT_EQ(after.flowsim_epochs, before.flowsim_epochs);
+  EXPECT_EQ(after.flowsim_resolves, before.flowsim_resolves);
 
-  // Bit-for-bit: the exact mode IS the oracle's event loop.
-  EXPECT_EQ(engine.fct_seconds, oracle.fct_seconds);
-  EXPECT_EQ(engine.ideal_rate, oracle.ideal_rate);
-  EXPECT_EQ(engine.completed, static_cast<int>(flows.size()));
-  EXPECT_EQ(engine.incomplete, 0);
-  // Exact mode re-solves at every arrival and departure.
+  // run() on the same flows does count them.
+  const FlowSimResult engine =
+      flowsim::run_flow_sim(staggered_flows(&u), capacities, {});
+  EXPECT_EQ(sim::substrate_stats().flowsim_resolves - after.flowsim_resolves,
+            static_cast<std::uint64_t>(engine.resolves));
   EXPECT_EQ(engine.resolves, static_cast<std::int64_t>(oracle.solves));
-  EXPECT_EQ(engine.solver_sweeps, oracle.sweeps);
 }
 
 // Solver health: a re-solve cut off after one sweep of a cold problem has not

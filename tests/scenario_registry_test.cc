@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdio>
 #include <map>
 #include <random>
 #include <sstream>
@@ -445,6 +446,43 @@ TEST(DriverTest, ValidatesKnobsOnTheBranchThatDoesNotRun) {
   // Jellyfish stays rejected where only leaf-spine is declared.
   EXPECT_EQ(run_cli({"--scenario=convergence", "topology=jellyfish:6,3,8"}),
             1);
+}
+
+// Degenerate delays and time windows fail instead of running: a negative
+// core_delay_us used to fall back to the edge delay without a word, and a
+// horizon <= 0 exited 0 with every flow incomplete.
+TEST(DriverTest, RejectsNegativeDelaysAndEmptyWindows) {
+  EXPECT_EQ(run_cli({"--scenario=incast", "core_delay_us=-3"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=incast", "topology=jellyfish:6,3,8",
+                     "core_delay_us=-3"}),
+            1);
+  EXPECT_EQ(run_cli({"--scenario=incast", "horizon_ms=-5"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=incast", "horizon_ms=0"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=incast", "horizon_ms=-5", "fidelity=flow"}),
+            1);
+  EXPECT_EQ(run_cli({"--scenario=permutation", "measure_ms=0"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=permutation", "warmup_ms=-1"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=websearch-fct", "horizon_ms=-5"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=dynamic-deviation", "horizon_ms=0"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=trace-replay", "horizon_ms=-5"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=oversub-fabric", "measure_ms=-1"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=background-burst", "warmup_ms=-1"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=bwfunc-sweep", "measure_ms=0"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=resource-pooling", "warmup_ms=-2"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=mega-fct", "horizon_s=0"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=mega-fct", "horizon_s=-1"}), 1);
+  // A horizon past the clock's range wrapped negative the same way.
+  EXPECT_EQ(run_cli({"--scenario=incast", "horizon_ms=1e20"}), 1);
+  EXPECT_EQ(run_cli({"--scenario=incast", "horizon_ms=nan"}), 1);
+
+  // The boundary values still run: no warm-up, zero core delay.
+  const std::string path =
+      ::testing::TempDir() + "/numfabric_driver_bounds_out.csv";
+  EXPECT_EQ(run_cli({"--scenario=incast", "hosts_per_leaf=2", "leaves=2",
+                     "spines=1", "fanin=3", "flow_kb=0", "warmup_ms=0",
+                     "measure_ms=1", "core_delay_us=0", "--output=" + path}),
+            0);
+  std::remove(path.c_str());
 }
 
 // There is no sharded engine and no threaded control-plane sweep: --shards
