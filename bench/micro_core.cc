@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "exp/common.h"
 #include "flowsim/flow_sim_engine.h"
 #include "flowsim/virtual_fabric.h"
 #include "net/drop_tail_queue.h"
@@ -469,6 +471,35 @@ void BM_KShortestPaths(benchmark::State& state) {
   state.SetItemsProcessed(pairs);  // pairs/sec
 }
 BENCHMARK(BM_KShortestPaths)->Arg(4)->Arg(16);
+
+// Jellyfish path set-up as the flow-churn workload runs it: exp::pair_paths
+// over 2,500 drawn host pairs of one jellyfish:32,8,256 wiring (k = 8),
+// from an empty cache each iteration, so every switch-pair entry the pairs
+// need is filled inside the timed region.
+void BM_JellyfishPairPaths(benchmark::State& state) {
+  const exp::BuiltFabric planned =
+      exp::plan_fabric(net::LeafSpineOptions{},
+                       net::JellyfishOptions{
+                           .switches = 32, .ports = 8, .hosts = 256, .seed = 1},
+                       8);
+  const int first_host = 32;  // switches precede hosts
+  sim::Rng rng(2500);
+  std::vector<std::pair<int, int>> pairs(2500);
+  for (auto& [src, dst] : pairs) {
+    src = first_host + static_cast<int>(rng.uniform_int(0, 255));
+    dst = first_host + static_cast<int>(rng.uniform_int(0, 254));
+    if (dst >= src) ++dst;
+  }
+  for (auto _ : state) {
+    exp::BuiltFabric fabric = planned;
+    for (const auto& [src, dst] : pairs) {
+      benchmark::DoNotOptimize(exp::pair_paths(fabric, src, dst).size());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pairs.size()));  // pairs/s
+}
+BENCHMARK(BM_JellyfishPairPaths);
 
 }  // namespace
 

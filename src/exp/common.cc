@@ -44,12 +44,22 @@ const std::vector<std::vector<int>>& pair_paths(BuiltFabric& fabric,
                                                 int src_node, int dst_node) {
   auto [it, fresh] = fabric.path_cache.try_emplace({src_node, dst_node});
   if (fresh) {
-    it->second = fabric.jellyfish
-                     ? net::k_shortest_paths(
-                           fabric.graph, src_node, dst_node,
-                           static_cast<std::size_t>(fabric.k_paths))
-                     : net::all_shortest_paths(fabric.graph, src_node, dst_node);
+    if (fabric.jellyfish) {
+      if (!fabric.switch_paths) {
+        fabric.switch_paths.emplace(fabric.graph,
+                                    static_cast<std::size_t>(fabric.k_paths));
+      }
+      const auto paths =
+          fabric.switch_paths->lookup(fabric.graph, src_node, dst_node);
+      it->second.reserve(paths.size());
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        it->second.push_back(paths[i]);
+      }
+    } else {
+      it->second = net::all_shortest_paths(fabric.graph, src_node, dst_node);
+    }
     if (it->second.empty()) {
+      fabric.path_cache.erase(it);  // the next call must fail the same way
       throw std::runtime_error(
           "pair_paths: no route between graph nodes " +
           std::to_string(src_node) + " and " + std::to_string(dst_node));

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/routing.h"
 #include "net/topology.h"
 #include "num/num_solver.h"
 #include "sim/simulator.h"
@@ -33,9 +34,12 @@ struct BuiltFabric {
   int k_paths = 8;
   /// Host object -> graph node id (filled by materialize_fabric).
   std::unordered_map<const net::Host*, int> host_node;
-  /// Memoized per-ordered-pair jellyfish path sets (Yen is deterministic, so
-  /// caching cannot change results).
+  /// pair_paths' result per ordered host pair.  On jellyfish it is stitched
+  /// from `switch_paths`; no host pair runs Yen of its own.
   std::map<std::pair<int, int>, std::vector<std::vector<int>>> path_cache;
+  /// Jellyfish only: the k-shortest table per switch pair, created and
+  /// filled on first use by pair_paths.
+  std::optional<net::HostPathTable> switch_paths;
 };
 
 /// Builds the graph + metadata for either fabric kind.  No Topology needed
@@ -51,9 +55,11 @@ void materialize_fabric(BuiltFabric& fabric, net::Topology& topo,
                         const net::QueueFactory& core_queue = nullptr);
 
 /// Path set (graph link ids) for one host pair: the COMPLETE shortest-path
-/// set on leaf-spine (classic ECMP, no-silent-caps contract) or the
-/// fabric's k-shortest table entry on jellyfish.  Deterministic order; pick
-/// with net::ecmp_index.
+/// set on leaf-spine (classic ECMP, no-silent-caps contract) or, on
+/// jellyfish, the k shortest paths — the hosts' switch-pair entry of
+/// `switch_paths` with the uplink and downlink attached, equal to host-level
+/// net::k_shortest_paths.  Deterministic order; pick with net::ecmp_index.
+/// Throws std::runtime_error when the pair has no route.
 const std::vector<std::vector<int>>& pair_paths(BuiltFabric& fabric,
                                                 int src_node, int dst_node);
 

@@ -18,9 +18,11 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/fabric_graph.h"
+#include "net/routing.h"
 
 namespace numfabric::flowsim {
 
@@ -44,40 +46,38 @@ struct VirtualLeafSpine {
   std::vector<int> path(int src, int dst, std::uint64_t tiebreak) const;
 };
 
-/// The general form: any FabricGraph reduced to a capacity vector plus a
-/// precomputed per-switch-pair path table, so mega-fct-scale runs work on
-/// arbitrary fabrics (jellyfish) with the same integer-only interface as
-/// VirtualLeafSpine.  Paths are k-shortest (Yen) between host-bearing
-/// switches, stitched to per-host up/down links on demand; the per-flow pick
-/// uses net::ecmp_index, the same choice the packet engine makes.
+/// The general form: any FabricGraph reduced to a capacity vector plus its
+/// net::HostPathTable, so mega-fct-scale runs work on arbitrary fabrics
+/// (jellyfish) with the same integer-only interface as VirtualLeafSpine.
+/// The table is the one exp::pair_paths serves the packet and flow runners
+/// from, filled eagerly here; the per-flow pick uses net::ecmp_index, so a
+/// flow id takes the same links as exp::flow_path gives it.
 class VirtualFabric {
  public:
   /// Builds the capacity vector (num::to_rate_units of each graph link) and
-  /// the k-path table for every ordered pair of host-bearing switches.
+  /// fills the k-path table for every ordered pair of host-bearing switches.
   /// Throws std::invalid_argument when the graph has < 2 hosts and
   /// std::runtime_error when some host pair has no route.
   static VirtualFabric from_graph(const net::FabricGraph& graph, int k_paths);
 
-  int hosts() const { return static_cast<int>(host_uplink_.size()); }
+  int hosts() const { return static_cast<int>(paths_.hosts().size()); }
   int links() const { return static_cast<int>(capacities_.size()); }
 
   /// Per-link capacities in graph link order (CsrProblem input) — identical
   /// to the packet engine's LinkIndexer order for the same graph.
   const std::vector<double>& capacities() const { return capacities_; }
 
-  /// Link indices from host `src` to host `dst` (distinct), choosing among
-  /// the pair's k paths by hashing `tiebreak`.
+  /// Link indices from host `src` to host `dst` (distinct; hosts are
+  /// numbered in graph node order), choosing among the pair's k paths by
+  /// hashing `tiebreak`.
   std::vector<int> path(int src, int dst, std::uint64_t tiebreak) const;
 
  private:
+  VirtualFabric(std::vector<double> capacities, net::HostPathTable paths)
+      : capacities_(std::move(capacities)), paths_(std::move(paths)) {}
+
   std::vector<double> capacities_;
-  std::vector<int> host_uplink_;        // host h -> its uplink graph link
-  std::vector<int> host_switch_index_;  // host h -> dense index of its switch
-  int num_switches_ = 0;
-  /// Switch-level paths for ordered pair (a, b): table_[a * num_switches_ + b]
-  /// holds up to k link-id sequences (empty for a == b — same-switch pairs
-  /// need no core hops).
-  std::vector<std::vector<std::vector<int>>> table_;
+  net::HostPathTable paths_;
 };
 
 }  // namespace numfabric::flowsim

@@ -288,13 +288,47 @@ void graph_enumerate(const FabricGraph& graph, const std::vector<int>& dist,
   }
 }
 
+/// Reverse-BFS buffers shared by the spur searches of one k_shortest_paths
+/// call.  `queue` holds every node the last search reached, so resetting
+/// `dist` touches only those.
+struct SpurSearch {
+  std::vector<int> dist;   // hops to the search's dst; -1 = not reached
+  std::vector<int> queue;  // BFS order
+
+  explicit SpurSearch(int nodes) : dist(static_cast<std::size_t>(nodes), -1) {}
+};
+
 /// Lexicographically-smallest (by link id) shortest path src -> dst avoiding
 /// banned nodes/links; empty when dst is unreachable.  Yen's spur search.
+/// The reverse BFS from dst stops once it reaches src: by then every node
+/// nearer to dst than src has its distance, and the greedy walk from src
+/// reads no other node.
 std::vector<int> lex_shortest_path(const FabricGraph& graph, int src, int dst,
                                    const std::vector<char>& banned_node,
-                                   const std::vector<char>& banned_link) {
-  const std::vector<int> dist =
-      graph_distances_to(graph, dst, &banned_node, &banned_link);
+                                   const std::vector<char>& banned_link,
+                                   SpurSearch& search) {
+  std::vector<int>& dist = search.dist;
+  std::vector<int>& queue = search.queue;
+  for (const int node : queue) dist[static_cast<std::size_t>(node)] = -1;
+  queue.clear();
+  dist[static_cast<std::size_t>(dst)] = 0;
+  queue.push_back(dst);
+  for (std::size_t head = 0;
+       head < queue.size() && dist[static_cast<std::size_t>(src)] < 0; ++head) {
+    const int at = queue[head];
+    for (int out : graph.outgoing(at)) {
+      const int in = FabricGraph::reverse(out);
+      if (banned_link[static_cast<std::size_t>(in)]) continue;
+      const int pred = graph.link_src(in);
+      if (banned_node[static_cast<std::size_t>(pred)] ||
+          dist[static_cast<std::size_t>(pred)] >= 0) {
+        continue;
+      }
+      dist[static_cast<std::size_t>(pred)] =
+          dist[static_cast<std::size_t>(at)] + 1;
+      queue.push_back(pred);
+    }
+  }
   if (dist[static_cast<std::size_t>(src)] < 0) return {};
   std::vector<int> path;
   int at = src;
@@ -364,7 +398,9 @@ std::vector<std::vector<int>> k_shortest_paths(const FabricGraph& graph,
   }
   const std::vector<char> no_node(static_cast<std::size_t>(graph.num_nodes()), 0);
   const std::vector<char> no_link(static_cast<std::size_t>(graph.num_links()), 0);
-  std::vector<int> first = lex_shortest_path(graph, src, dst, no_node, no_link);
+  SpurSearch search(graph.num_nodes());
+  std::vector<int> first =
+      lex_shortest_path(graph, src, dst, no_node, no_link, search);
   if (first.empty()) return {};
   std::vector<std::vector<int>> result;
   result.push_back(std::move(first));
@@ -387,7 +423,7 @@ std::vector<std::vector<int>> k_shortest_paths(const FabricGraph& graph,
         }
       }
       const std::vector<int> detour =
-          lex_shortest_path(graph, spur, dst, banned_node, banned_link);
+          lex_shortest_path(graph, spur, dst, banned_node, banned_link, search);
       if (!detour.empty()) {
         std::vector<int> candidate(prev.begin(),
                                    prev.begin() + static_cast<std::ptrdiff_t>(j));
@@ -402,6 +438,88 @@ std::vector<std::vector<int>> k_shortest_paths(const FabricGraph& graph,
     candidates.erase(candidates.begin());
   }
   return result;
+}
+
+HostPathTable::HostPathTable(const FabricGraph& graph, std::size_t k) : k_(k) {
+  if (k == 0) throw std::invalid_argument("HostPathTable: k must be > 0");
+  if (k > kMaxEnumeratedPaths) {
+    throw std::length_error("HostPathTable: k exceeds kMaxEnumeratedPaths");
+  }
+  uplink_.assign(static_cast<std::size_t>(graph.num_nodes()), -1);
+  switch_.assign(static_cast<std::size_t>(graph.num_nodes()), -1);
+  for (int n = 0; n < graph.num_nodes(); ++n) {
+    const auto kind = graph.nodes()[static_cast<std::size_t>(n)].kind;
+    if (kind != GraphNodeKind::kHost) continue;
+    const int up = graph.host_uplink(n);
+    hosts_.push_back(n);
+    uplink_[static_cast<std::size_t>(n)] = up;
+    switch_[static_cast<std::size_t>(n)] = graph.link_dst(up);
+  }
+}
+
+std::vector<int> HostPathTable::HostPaths::operator[](std::size_t i) const {
+  const std::vector<int>& middle = (*core)[i];
+  std::vector<int> path;
+  path.reserve(middle.size() + 2);
+  path.push_back(up);
+  path.insert(path.end(), middle.begin(), middle.end());
+  path.push_back(down);
+  return path;
+}
+
+HostPathTable::HostPaths HostPathTable::lookup(const FabricGraph& graph,
+                                               int src, int dst) {
+  HostPaths paths = host_links(src, dst);
+  const auto key = switch_pair(src, dst);
+  auto [it, fresh] = switch_paths_.try_emplace(key);
+  if (fresh) {
+    if (key.first == key.second) {
+      it->second.emplace_back();  // same switch: no core hop
+    } else {
+      it->second = k_shortest_paths(graph, key.first, key.second, k_);
+    }
+  }
+  paths.core = &it->second;
+  return paths;
+}
+
+void HostPathTable::fill(const FabricGraph& graph) {
+  for (const int src : hosts_) {
+    for (const int dst : hosts_) {
+      if (src == dst || lookup(graph, src, dst).size() > 0) continue;
+      throw std::runtime_error(
+          "HostPathTable: no route between hosts '" +
+          graph.nodes()[static_cast<std::size_t>(src)].name + "' and '" +
+          graph.nodes()[static_cast<std::size_t>(dst)].name + "'");
+    }
+  }
+}
+
+HostPathTable::HostPaths HostPathTable::filled(int src, int dst) const {
+  HostPaths paths = host_links(src, dst);
+  const auto it = switch_paths_.find(switch_pair(src, dst));
+  if (it == switch_paths_.end()) {
+    throw std::logic_error("HostPathTable::filled: pair not looked up yet");
+  }
+  paths.core = &it->second;
+  return paths;
+}
+
+HostPathTable::HostPaths HostPathTable::host_links(int src, int dst) const {
+  const auto uplink = [this](int node) {
+    const auto n = static_cast<std::size_t>(node);
+    if (node < 0 || n >= uplink_.size() || uplink_[n] < 0) {
+      throw std::invalid_argument("HostPathTable: node is not a host");
+    }
+    return uplink_[n];
+  };
+  if (src == dst) throw std::invalid_argument("HostPathTable: src == dst");
+  return {uplink(src), FabricGraph::reverse(uplink(dst)), nullptr};
+}
+
+std::pair<int, int> HostPathTable::switch_pair(int src, int dst) const {
+  return {switch_[static_cast<std::size_t>(src)],
+          switch_[static_cast<std::size_t>(dst)]};
 }
 
 }  // namespace numfabric::net

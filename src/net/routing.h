@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
@@ -92,5 +94,68 @@ std::vector<std::vector<int>> all_shortest_paths(const FabricGraph& graph,
 /// or k == 0.
 std::vector<std::vector<int>> k_shortest_paths(const FabricGraph& graph,
                                                int src, int dst, std::size_t k);
+
+/// k_shortest_paths between hosts, served from one k-shortest table per
+/// ordered switch pair.  A host has exactly one cable
+/// (FabricGraph::host_uplink), so every loop-free route between two hosts
+/// leaves by the source's uplink and arrives by the destination's downlink:
+/// the pair's k shortest paths are the k shortest between the two hosts'
+/// switches with those two links attached — host-level k_shortest_paths
+/// element for element, order included.  A same-switch pair has the single
+/// path {up, down}.  Yen runs at most once per ordered pair of host-bearing
+/// switches instead of once per host pair.
+///
+/// The table keeps no reference to the graph: the calls that may run Yen
+/// take it as an argument, and it must be the graph the table was built
+/// from.
+class HostPathTable {
+ public:
+  /// The paths between two hosts, viewing one switch-pair entry: path i is
+  /// `up`, then `(*core)[i]`, then `down`.  Valid while the table lives.
+  struct HostPaths {
+    int up = -1;
+    int down = -1;
+    const std::vector<std::vector<int>>* core = nullptr;
+
+    /// Number of paths; 0 when the two switches are not connected.
+    std::size_t size() const { return core->size(); }
+    /// Path i as graph link ids.
+    std::vector<int> operator[](std::size_t i) const;
+  };
+
+  /// Indexes the graph's hosts and their switches; runs no Yen.  The
+  /// k_shortest_paths contract applies to k: 0 throws
+  /// std::invalid_argument, k > kMaxEnumeratedPaths std::length_error.
+  HostPathTable(const FabricGraph& graph, std::size_t k);
+
+  /// Graph node ids of the hosts, in node order.
+  const std::vector<int>& hosts() const { return hosts_; }
+
+  /// Paths between hosts `src` and `dst` (distinct graph node ids), running
+  /// Yen for their switch pair on first use.  Throws std::invalid_argument
+  /// when either node is not a host or src == dst.
+  HostPaths lookup(const FabricGraph& graph, int src, int dst);
+
+  /// Looks up every host pair now.  Throws std::runtime_error naming the
+  /// two hosts when a pair has no route.
+  void fill(const FabricGraph& graph);
+
+  /// lookup() for a pair whose switch pair is already filled; never runs
+  /// Yen.  Throws std::logic_error when it is not.
+  HostPaths filled(int src, int dst) const;
+
+ private:
+  /// The pair's uplink and downlink, after validating the hosts.
+  HostPaths host_links(int src, int dst) const;
+  std::pair<int, int> switch_pair(int src, int dst) const;
+
+  std::size_t k_ = 0;
+  std::vector<int> hosts_;
+  std::vector<int> uplink_;  // per graph node; -1 for switches
+  std::vector<int> switch_;  // per graph node: the host's switch
+  /// Switch-level paths per ordered switch pair; (a, a) holds one empty
+  /// path (same-switch hosts need no core hop).
+  std::map<std::pair<int, int>, std::vector<std::vector<int>>> switch_paths_;
+};
 
 }  // namespace numfabric::net

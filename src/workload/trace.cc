@@ -1,6 +1,5 @@
 #include "workload/trace.h"
 
-#include <cctype>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -12,6 +11,10 @@ namespace numfabric::workload {
 namespace {
 
 using util::trim;
+
+/// Largest arrival the nanosecond clock holds, with margin for the rounding
+/// in the seconds -> sim::TimeNs conversion.
+constexpr double kMaxArrivalSeconds = 9.2e9;
 
 [[noreturn]] void fail(const std::string& source, int line,
                        const std::string& reason) {
@@ -52,13 +55,6 @@ int parse_host_field(const std::string& token, const std::string& source,
   return static_cast<int>(value);
 }
 
-bool looks_numeric(const std::string& token) {
-  if (token.empty()) return false;
-  const char c = token[0];
-  return std::isdigit(static_cast<unsigned char>(c)) || c == '-' || c == '+' ||
-         c == '.';
-}
-
 }  // namespace
 
 std::vector<TraceFlow> parse_trace_csv(std::istream& in,
@@ -66,7 +62,7 @@ std::vector<TraceFlow> parse_trace_csv(std::istream& in,
   std::vector<TraceFlow> flows;
   std::string line;
   int line_number = 0;
-  bool saw_data = false;
+  bool first_row = true;
   while (std::getline(in, line)) {
     ++line_number;
     const auto hash = line.find('#');
@@ -78,9 +74,12 @@ std::vector<TraceFlow> parse_trace_csv(std::istream& in,
     std::string field;
     while (std::getline(row, field, ',')) fields.push_back(trim(field));
 
-    // One optional header row, recognized by a non-numeric first field.
-    if (!saw_data && !fields.empty() && !looks_numeric(fields[0])) continue;
-    saw_data = true;
+    // One optional header row: the first row, when its first field is not a
+    // number.
+    const bool header = first_row && !fields.empty() &&
+                        !util::parse_double(fields[0]).has_value();
+    first_row = false;
+    if (header) continue;
 
     if (fields.size() != 4) {
       fail(source_name, line_number,
@@ -92,6 +91,12 @@ std::vector<TraceFlow> parse_trace_csv(std::istream& in,
         parse_double_field(fields[0], source_name, line_number, "arrival_s");
     if (flow.arrival_seconds < 0) {
       fail(source_name, line_number, "negative arrival time");
+    }
+    // NaN, inf and arrivals past sim::TimeNs (about 292 years) cannot be
+    // scheduled; casting them to the clock is undefined.
+    if (!(flow.arrival_seconds < kMaxArrivalSeconds)) {
+      fail(source_name, line_number,
+           "arrival_s '" + fields[0] + "' is outside the simulated clock");
     }
     const std::int64_t size =
         parse_int_field(fields[1], source_name, line_number, "size_bytes");

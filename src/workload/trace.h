@@ -3,10 +3,10 @@
 // trace-replay experiment.
 //
 // Format: one flow per line, `arrival_s,size_bytes,src,dst`.  Blank lines
-// and '#' comments are ignored; an optional header line is recognized by a
-// non-numeric first field.  Malformed rows fail with a line-numbered error
-// ("<source>:<line>: <reason>") instead of being skipped, so a corrupted
-// trace never silently replays a subset.
+// and '#' comments are ignored; the first row is an optional header,
+// recognized by a first field that is not a number.  Malformed rows fail
+// with a line-numbered error ("<source>:<line>: <reason>") instead of being
+// skipped, so a corrupted trace never silently replays a subset.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,9 @@ struct TraceFlow {
 
 /// Parses trace CSV from a stream.  `source_name` labels errors (a path or
 /// "<builtin>").  Throws std::invalid_argument with the offending line
-/// number on malformed rows: wrong field count, non-numeric fields, negative
-/// arrival, zero size, negative host index or src == dst.
+/// number on malformed rows: wrong field count, non-numeric fields, an
+/// arrival that is negative, not finite or beyond the simulated clock, zero
+/// size, a host index outside [0, INT_MAX] or src == dst.
 std::vector<TraceFlow> parse_trace_csv(std::istream& in,
                                        const std::string& source_name);
 

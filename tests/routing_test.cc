@@ -2,6 +2,7 @@
 // ECMP selection (deterministic, unbiased spread).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -268,6 +269,47 @@ TEST(GraphRoutingTest, KShortestIsDeterministicOnJellyfish) {
   for (std::size_t p = 0; p < first.size(); ++p) {
     EXPECT_TRUE(valid_simple_path(graph, first[p], src, dst)) << p;
   }
+}
+
+// Frozen output of Yen's search: an FNV-1a 64 hash of k_shortest_paths over
+// every ordered node pair (hosts and switches) of two small jellyfish
+// wirings, recorded before the spur search learned to stop its reverse BFS
+// at the spur node.  Path count, each path's length and every link id are
+// hashed as little-endian 32-bit words.
+TEST(GraphRoutingTest, KShortestMatchesFrozenHashOnJellyfish) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::size_t value) {
+    const auto word = static_cast<std::uint32_t>(value);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  struct Case {
+    JellyfishOptions wiring;
+    std::size_t k;
+  };
+  const Case cases[] = {
+      {{.switches = 12, .ports = 4, .hosts = 24, .seed = 1}, 8},
+      {{.switches = 16, .ports = 4, .hosts = 32, .seed = 7}, 4}};
+  std::size_t paths = 0;
+  for (const Case& c : cases) {
+    const FabricGraph graph = make_jellyfish(c.wiring);
+    for (int src = 0; src < graph.num_nodes(); ++src) {
+      for (int dst = 0; dst < graph.num_nodes(); ++dst) {
+        if (src == dst) continue;
+        const auto set = k_shortest_paths(graph, src, dst, c.k);
+        mix(set.size());
+        for (const std::vector<int>& path : set) {
+          mix(path.size());
+          for (const int link : path) mix(static_cast<std::size_t>(link));
+        }
+        paths += set.size();
+      }
+    }
+  }
+  EXPECT_EQ(paths, 18312u);
+  EXPECT_EQ(hash, 0xf2ab75b00f554398ull);
 }
 
 TEST(GraphRoutingTest, KShortestReturnsFewerWhenExhausted) {

@@ -6,6 +6,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <random>
 #include <sstream>
@@ -483,6 +484,29 @@ TEST(DriverTest, RejectsNegativeDelaysAndEmptyWindows) {
                      "measure_ms=1", "core_delay_us=0", "--output=" + path}),
             0);
   std::remove(path.c_str());
+}
+
+// A trace arrival the clock cannot hold fails at parse time.  NaN, inf and
+// 1e300 used to pass the parser: the packet run then died with "start time
+// in the past" and the flow run exited 0 with a 9.2e15 us FCT.
+TEST(DriverTest, RejectsTraceArrivalsOutsideTheClock) {
+  const std::string trace =
+      ::testing::TempDir() + "/numfabric_driver_bad_arrival.csv";
+  for (const char* arrival : {"nan", "inf", "1e300"}) {
+    {
+      std::ofstream out(trace);
+      out << "arrival_s,size_bytes,src,dst\n0,20000,0,3\n" << arrival
+          << ",20000,1,2\n";
+    }
+    for (const char* fidelity : {"fidelity=packet", "fidelity=flow"}) {
+      EXPECT_EQ(run_cli({"--scenario=trace-replay", "trace=" + trace,
+                         "hosts_per_leaf=2", "leaves=2", "spines=1",
+                         fidelity}),
+                1)
+          << arrival << " " << fidelity;
+    }
+  }
+  std::remove(trace.c_str());
 }
 
 // There is no sharded engine and no threaded control-plane sweep: --shards
